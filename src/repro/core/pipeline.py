@@ -688,6 +688,61 @@ class DEFAAttention:
 
     # ---------------------------------------------------------------- forward
 
+    def _locate(
+        self,
+        offsets: np.ndarray,
+        reference_points: np.ndarray,
+        spatial_shapes: list[LevelShape],
+        query_keep: np.ndarray | None,
+        backend,
+        plan: ExecutionPlan | None,
+    ) -> tuple[np.ndarray, list[float]]:
+        """Range narrowing + sampling locations of ``(B, N_q, N_h, N_l, N_p, 2)``
+        offsets; returns the locations and the per-image clipping fractions.
+
+        A fraction is the share of offset components of the kept query rows
+        (``query_keep``, ``(B, N_q)``; ``None`` keeps every row) that the clamp
+        changes.  The clamped components are counted over the whole grid:
+        pruned rows hold exactly-zero offsets and every range is positive, so
+        they never count.  A backend with a ``locate_into`` hook (the compiled
+        backend) does the count, clamp, divide and add in one pass; otherwise
+        the numpy ops run, clamping in place under a plan.
+        """
+        narrowing = self.range_narrowing
+        if plan is not None:
+            locations = plan.buffer("locations", offsets.shape)
+        else:
+            locations = np.empty(offsets.shape, dtype=FLOAT_DTYPE)
+        hook = getattr(backend, "locate_into", None)
+        counts = None
+        if hook is not None:
+            counts = hook(
+                offsets,
+                reference_points,
+                spatial_shapes,
+                None if narrowing is None else narrowing.level_ranges,
+                locations,
+            )
+        if counts is None:
+            if narrowing is not None:
+                counts = narrowing.clipped_counts(offsets)
+                offsets = narrowing.clamp_offsets(
+                    offsets, out=offsets if plan is not None else None
+                )
+            self.attn.compute_sampling_locations(
+                reference_points, offsets, spatial_shapes, out=locations
+            )
+        batch, n_q = offsets.shape[:2]
+        if narrowing is None:
+            return locations, [0.0] * batch
+        rows = [n_q] * batch if query_keep is None else np.count_nonzero(query_keep, axis=1)
+        per_row = int(np.prod(offsets.shape[2:]))
+        fractions = []
+        for count, kept_rows in zip(counts, rows):
+            size = int(kept_rows) * per_row
+            fractions.append(float(int(count) / size) if size else 0.0)
+        return locations, fractions
+
     def forward_detailed(
         self,
         query: np.ndarray,
@@ -862,7 +917,8 @@ class DEFAAttention:
             )
         pap = self._fold_query_mask(row_pap, points_shape, query_keep, kept_q, plan=plan)
 
-        # Step 2: sampling offsets of the surviving points + range narrowing.
+        # Step 2: sampling offsets of the surviving points, then range
+        # narrowing and the sampling locations (one _locate call).
         with kernel_section("query_proj"):
             if sparse_query:
                 if plan is not None:
@@ -897,25 +953,16 @@ class DEFAAttention:
                         # Dense path under query pruning: zero the pruned rows so
                         # both paths record identical offsets and locations.
                         offsets = offsets * query_keep[:, None, None, None, None]
-        clipping_fraction = 0.0
-        if self.range_narrowing is not None:
-            measured = offsets if query_keep is None else offsets[query_keep]
-            clipping_fraction = self.range_narrowing.clipping_fraction(measured)
-            if plan is not None:
-                offsets = self.range_narrowing.clamp_offsets_inplace(offsets)
-            else:
-                offsets = self.range_narrowing.clamp_offsets(offsets)
-        if plan is not None:
-            locations = attn.compute_sampling_locations(
+        with kernel_section("neighbors"):
+            locations, (clipping_fraction,) = self._locate(
+                offsets[None],
                 reference_points,
-                offsets,
                 spatial_shapes,
-                out=plan.buffer("locations", offsets.shape),
+                None if query_keep is None else query_keep[None],
+                backend,
+                plan,
             )
-        else:
-            locations = attn.compute_sampling_locations(
-                reference_points, offsets, spatial_shapes
-            )
+        locations = locations[0]
 
         # Step 3: value projection with the FWP mask from the previous block
         # (compacted to the kept rows when the sparse path is active).
@@ -942,7 +989,11 @@ class DEFAAttention:
         if sparse_gather:
             with kernel_section("neighbors"):
                 trace = multi_scale_neighbors_sparse(
-                    spatial_shapes, locations, point_mask=effective_mask, plan=plan
+                    spatial_shapes,
+                    locations,
+                    point_mask=effective_mask,
+                    plan=plan,
+                    backend=backend,
                 )
             head_outputs = ms_deform_attn_from_compact_trace(
                 value, trace, pap.attention_weights, backend=backend, plan=plan
@@ -1162,8 +1213,9 @@ class DEFAAttention:
             for b in range(batch)
         ]
 
-        # Step 2: sampling offsets + range narrowing (batched clamp,
-        # per-image clipping fractions over the kept queries).
+        # Step 2: sampling offsets, then range narrowing and the sampling
+        # locations (batched clamp, per-image clipping fractions over the
+        # kept queries).
         with kernel_section("query_proj"):
             if sparse_query:
                 if plan is not None:
@@ -1199,28 +1251,9 @@ class DEFAAttention:
                         # Dense path under query pruning: zero the pruned rows so
                         # both paths record identical offsets and locations.
                         offsets = offsets * query_keep[:, :, None, None, None, None]
-        clipping_fractions = [0.0] * batch
-        if self.range_narrowing is not None:
-            clipping_fractions = [
-                self.range_narrowing.clipping_fraction(
-                    offsets[b] if query_keep is None else offsets[b][query_keep[b]]
-                )
-                for b in range(batch)
-            ]
-            if plan is not None:
-                offsets = self.range_narrowing.clamp_offsets_inplace(offsets)
-            else:
-                offsets = self.range_narrowing.clamp_offsets(offsets)
-        if plan is not None:
-            locations = attn.compute_sampling_locations(
-                reference_points,
-                offsets,
-                spatial_shapes,
-                out=plan.buffer("locations", offsets.shape),
-            )
-        else:
-            locations = attn.compute_sampling_locations(
-                reference_points, offsets, spatial_shapes
+        with kernel_section("neighbors"):
+            locations, clipping_fractions = self._locate(
+                offsets, reference_points, spatial_shapes, query_keep, backend, plan
             )
 
         # Step 3: value projection with the per-image FWP masks (compacted
@@ -1248,7 +1281,11 @@ class DEFAAttention:
         if sparse_gather:
             with kernel_section("neighbors"):
                 trace = multi_scale_neighbors_sparse_batched(
-                    spatial_shapes, locations, point_mask=effective_masks, plan=plan
+                    spatial_shapes,
+                    locations,
+                    point_mask=effective_masks,
+                    plan=plan,
+                    backend=backend,
                 )
             head_outputs = ms_deform_attn_from_compact_trace(
                 value, trace, attn_weights, backend=backend, plan=plan

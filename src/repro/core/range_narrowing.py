@@ -72,18 +72,23 @@ class RangeNarrowing:
         ranges = np.asarray(self.level_ranges, dtype=FLOAT_DTYPE)[:, None, None]
         return np.clip(offsets, -ranges, ranges, out=out)
 
-    def clamp_offsets_inplace(self, sampling_offsets: np.ndarray) -> np.ndarray:
-        """:meth:`clamp_offsets` clamping the array in place (fused execution:
-        the offsets live in a reusable plan buffer, so no copy is needed).
-        Bit-identical to the allocating form."""
-        return self.clamp_offsets(sampling_offsets, out=sampling_offsets)
+    def clipped_counts(self, sampling_offsets: np.ndarray) -> np.ndarray:
+        """Number of offset components the clamp alters, per image.
+
+        Counts ``|offset| > range`` over the trailing ``(N_q, N_h, N_l, N_p,
+        2)`` axes: a 0-d count for one image, ``(B,)`` counts for a batch.
+        """
+        offsets = np.asarray(sampling_offsets, dtype=FLOAT_DTYPE)
+        ranges = np.asarray(self.level_ranges, dtype=FLOAT_DTYPE)[:, None, None]
+        clipped = np.abs(offsets) > ranges
+        return np.count_nonzero(clipped, axis=tuple(range(clipped.ndim - 5, clipped.ndim)))
 
     def clipping_fraction(self, sampling_offsets: np.ndarray) -> float:
         """Fraction of offset components altered by the clamp (a fidelity metric)."""
         offsets = np.asarray(sampling_offsets, dtype=FLOAT_DTYPE)
-        ranges = np.asarray(self.level_ranges, dtype=FLOAT_DTYPE)[:, None, None]
-        clipped = np.abs(offsets) > ranges
-        return float(np.mean(clipped)) if offsets.size else 0.0
+        if not offsets.size:
+            return 0.0
+        return float(np.sum(self.clipped_counts(offsets)) / offsets.size)
 
     # --------------------------------------------------------------- storage
 

@@ -303,7 +303,8 @@ def profile_defa_kernel_breakdown(
 
     Returns the :class:`~repro.utils.timing.KernelTimings` of a single
     ``forward_detailed`` call: ``value_proj`` / ``query_proj`` /
-    ``output_proj`` (projections), ``neighbors`` (bilinear index math),
+    ``output_proj`` (projections), ``neighbors`` (offsets → locations →
+    (compact) trace: range narrowing, sampling locations, bilinear index math),
     ``gather`` and ``aggregate`` (the MSGS hot loop) and ``fwp`` (frequency
     counting + mask generation).  This is the software-side analogue of the
     Fig. 1b latency breakdown, available for both execution paths via

@@ -1,15 +1,33 @@
-/* Compiled DEFA hot-path kernels (PR 7).
+/* Compiled DEFA hot-path kernels.
  *
- * C implementations of the four true hot loops of the sparse encoder —
- * the flat neighbour gather, the 4-neighbour bilinear weight combine, the
- * segment sum and the fused fake-quantize chain — fused into two entry
- * points.  Loaded via ctypes by repro/kernels/compiled_backend.py; there is
+ * C implementations of the true hot loops of the sparse encoder, in four
+ * entry points:
+ *
+ * - defa_locate: range-narrowing clamp (with the per-image count of clamped
+ *   components) + divide by the level size + add the reference point, one
+ *   pass from raw sampling offsets to normalized sampling locations;
+ * - defa_compact_trace: the bilinear neighbour/weight/index math of the
+ *   compacted sampling trace, one pass over the kept points;
+ * - defa_gather_combine_segsum: the flat neighbour gather, the 4-neighbour
+ *   bilinear weight combine and the segment sum;
+ * - defa_fake_quantize: the fused fake-quantize chain.
+ *
+ * Loaded via ctypes by repro/kernels/compiled_backend.py; there is
  * deliberately no Python C-API dependency so the library builds with any C
  * toolchain and degrades to COMPILED_AVAILABLE = False when none exists.
  *
  * Bit-identity contract (the "compiled" backend is gated at exactly 0.0
  * drift against "fused", see benchmarks/baselines/README.md):
  *
+ * - The locate pass is the float32 op sequence np.clip -> np.divide ->
+ *   np.add of RangeNarrowing.clamp_offsets and
+ *   MSDeformAttn.compute_sampling_locations, elementwise; a component
+ *   counts as clamped exactly when |offset| > range (NaN never counts and
+ *   passes through, as in np.clip).
+ * - The compact trace uses the expressions of _compact_trace_arrays_fused:
+ *   float32 x = loc * size - 0.5, floor, the fraction (x - floor) taken
+ *   through float64 and stored as float32, float32 weight products, and
+ *   flat index -1 for out-of-bounds neighbours.
  * - The gather/combine order replicates the fused backend exactly:
  *   w = (weights * valid) * attn as float32, then a sequential float32
  *   accumulation over the four neighbours (numpy's einsum "kfc,kf->kc"
@@ -26,7 +44,8 @@
  *   repro.quant.quantizer.fake_quantize's in-place path.
  *
  * Must be compiled with FP contraction off (-ffp-contract=off) — a fused
- * multiply-add would change the rounding of the combine loop.
+ * multiply-add would change the rounding of the combine loop and of the
+ * x * size - 0.5 pixel coordinate.
  */
 
 #include <stdint.h>
@@ -35,7 +54,7 @@
 
 /* Bumped whenever a signature below changes; the ctypes loader refuses a
  * stale library rather than calling it with a mismatched ABI. */
-#define DEFA_KERNELS_ABI 1
+#define DEFA_KERNELS_ABI 2
 
 int64_t
 defa_kernels_abi(void)
@@ -195,5 +214,116 @@ defa_fake_quantize(
             if (v > qmax) v = qmax;
             orow[c] = (float)(v * s);
         }
+    }
+}
+
+/* Range narrowing + sampling locations in one pass over the offset grid:
+ *
+ *   offsets   (batch, n_q, n_h, n_l, n_p, 2)  raw offsets, level pixels
+ *   ref       (n_q, n_l, 2) per image; image b reads ref + b * ref_stride
+ *             (ref_stride = 0 for reference points shared by the batch)
+ *   size      (n_l, 2)      float32 (width, height) of every level
+ *   ranges    (n_l,)        float32 half-ranges, or NULL for no clamp
+ *   out       same shape as offsets: ref + clip(offset) / size
+ *   counts    (batch,)      components the clamp changed, per image
+ */
+void
+defa_locate(
+    const float *restrict offsets,
+    const float *restrict ref,
+    const float *restrict size,
+    const float *restrict ranges,
+    int64_t batch, int64_t n_q, int64_t n_h, int64_t n_l, int64_t n_p,
+    int64_t ref_stride,
+    float *restrict out,
+    int64_t *restrict counts)
+{
+    const int64_t row = n_h * n_l * n_p * 2;
+    for (int64_t b = 0; b < batch; ++b) {
+        int64_t count = 0;
+        for (int64_t q = 0; q < n_q; ++q) {
+            const float *rq = ref + b * ref_stride + q * n_l * 2;
+            const float *src = offsets + (b * n_q + q) * row;
+            float *dst = out + (b * n_q + q) * row;
+            for (int64_t h = 0; h < n_h; ++h) {
+                for (int64_t l = 0; l < n_l; ++l) {
+                    const float rx = rq[2 * l], ry = rq[2 * l + 1];
+                    const float sx = size[2 * l], sy = size[2 * l + 1];
+                    const float hi = ranges ? ranges[l] : 0.0f;
+                    const float lo = -hi;
+                    for (int64_t p = 0; p < n_p; ++p) {
+                        float vx = src[2 * p], vy = src[2 * p + 1];
+                        if (ranges) {
+                            count += (vx > hi) + (vx < lo) + (vy > hi) + (vy < lo);
+                            vx = vx > hi ? hi : (vx < lo ? lo : vx);
+                            vy = vy > hi ? hi : (vy < lo ? lo : vy);
+                        }
+                        dst[2 * p] = rx + vx / sx;
+                        dst[2 * p + 1] = ry + vy / sy;
+                    }
+                    src += 2 * n_p;
+                    dst += 2 * n_p;
+                }
+            }
+        }
+        counts[b] = count;
+    }
+}
+
+/* Per-point arrays of the compacted sampling trace (CompactSamplingTrace
+ * layout), built for the kept points only:
+ *
+ *   loc       (total_points, 2)  normalized (x, y) sampling locations
+ *   kept      (k,)               flat point ids; level = (id / n_p) % n_l
+ *   size      (n_l, 2)           float32 (width, height) of every level
+ *   dims      (n_l, 3)           int64 (height, width, start token)
+ *   levels    (k,)               out: level of every kept point
+ *   weights   (k, 4)             out: bilinear weights (not zeroed when
+ *                                invalid, as in the numpy trace)
+ *   valid     (k, 4)             out: in-bounds flags, one byte each
+ *   flat      (k, 4)             out: neighbour token ids, -1 when invalid
+ *
+ * Neighbour order: (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1).
+ */
+void
+defa_compact_trace(
+    const float *restrict loc,
+    const int64_t *restrict kept,
+    int64_t k, int64_t n_l, int64_t n_p,
+    const float *restrict size,
+    const int64_t *restrict dims,
+    int64_t *restrict levels,
+    float *restrict weights,
+    uint8_t *restrict valid,
+    int64_t *restrict flat)
+{
+    for (int64_t i = 0; i < k; ++i) {
+        const int64_t id = kept[i];
+        const int64_t l = (id / n_p) % n_l;
+        const float x = loc[2 * id] * size[2 * l] - 0.5f;
+        const float y = loc[2 * id + 1] * size[2 * l + 1] - 0.5f;
+        const int64_t x0 = (int64_t)floorf(x);
+        const int64_t y0 = (int64_t)floorf(y);
+        const float t1 = (float)((double)x - (double)x0);
+        const float t0 = (float)((double)y - (double)y0);
+        const float u1 = 1.0f - t1;
+        const float u0 = 1.0f - t0;
+        float *w = weights + 4 * i;
+        w[0] = u1 * u0;
+        w[1] = t1 * u0;
+        w[2] = u1 * t0;
+        w[3] = t1 * t0;
+        const int64_t h = dims[3 * l], wd = dims[3 * l + 1], start = dims[3 * l + 2];
+        const int row_in[2] = {y0 >= 0 && y0 < h, y0 + 1 >= 0 && y0 + 1 < h};
+        const int col_in[2] = {x0 >= 0 && x0 < wd, x0 + 1 >= 0 && x0 + 1 < wd};
+        uint8_t *v = valid + 4 * i;
+        int64_t *f = flat + 4 * i;
+        for (int n = 0; n < 4; ++n) {
+            const int dy = n >> 1, dx = n & 1;
+            const int ok = row_in[dy] && col_in[dx];
+            v[n] = (uint8_t)ok;
+            f[n] = ok ? start + (y0 + dy) * wd + (x0 + dx) : -1;
+        }
+        levels[i] = l;
     }
 }

@@ -1,10 +1,18 @@
-"""The ``"compiled"`` kernel backend: C hot loops behind the registry (PR 7).
+"""The ``"compiled"`` kernel backend: C hot loops behind the registry.
 
 Loads the shared library built from ``src/repro/kernels/_c/defa_kernels.c``
 (``python setup.py build_ext --inplace``) via :mod:`ctypes` and exposes it as
-a backend object selected per-call/per-config exactly like ``"fused"``.  Two
-entry points cover the four true hot loops of the sparse encoder:
+a backend object selected per-call/per-config exactly like ``"fused"``.  Four
+entry points cover the hot loops of the sparse encoder:
 
+* ``defa_locate`` (:meth:`CompiledBackend.locate_into`) — the range-narrowing
+  clamp with its per-image count of clamped components, the divide by the
+  level size and the add of the reference point, in one pass over the raw
+  offsets instead of a count, a clip, a divide and an add over the grid;
+* ``defa_compact_trace`` (:meth:`CompiledBackend.compact_trace_arrays`) —
+  the bilinear neighbour, weight, validity and flat-index math of the
+  compacted sampling trace, one pass over the kept points instead of some
+  thirty numpy passes through per-point scratch arrays;
 * ``defa_gather_combine_segsum`` — the flat neighbour gather, the
   4-neighbour bilinear weight combine and the segment sum, fused into one
   pass over the kept points (no ``(K, 4, D_h)`` gather block, no ``(K, D_h)``
@@ -14,16 +22,24 @@ entry points cover the four true hot loops of the sparse encoder:
   dynamic activation quantization in a single pass, replacing four
   full-array numpy passes plus a float64 scratch.
 
+The first two and the last are duck-typed hooks: they return ``None`` for an
+input outside their contract and the caller runs the numpy code, which stays
+the fused path, the no-toolchain fallback and the bit-identity oracle.
+
 **Graceful degradation.**  When no library is found (no toolchain, never
 built, stale ABI), :data:`COMPILED_AVAILABLE` is ``False`` and
 :func:`repro.kernels.registry._lookup` resolves ``"compiled"`` to the fused
 backend with a warning — never an ImportError.
 
-**Numerics.**  Both kernels replicate the numpy op order exactly (see the C
-source header): the combine accumulates the four neighbours sequentially in
-float32 as einsum does, the segment sum replays ``np.add.reduceat``'s
-``first + pairwise(rest)`` order including the shared 8 MiB chunk
-boundaries, and the quantize chain is the same elementwise float64 sequence.
+**Numerics.**  Every kernel replicates the numpy op order exactly (see the C
+source header): the locate pass is the float32 ``np.clip`` → ``np.divide``
+→ ``np.add`` sequence elementwise, the compact trace uses the float32 pixel
+coordinate, the float64-through fraction and the float32 weight products of
+``_compact_trace_arrays_fused``, the combine accumulates the four neighbours
+sequentially in float32 as einsum does, the segment sum replays
+``np.add.reduceat``'s ``first + pairwise(rest)`` order including the shared
+8 MiB chunk boundaries, and the quantize chain is the same elementwise
+float64 sequence.
 The backend is therefore *bit-identical* to ``"fused"`` on every supported
 input, and :data:`COMPILED_EQUIVALENCE_TOL` — the backend's tier in the
 equivalence probes and ``run_all --check`` gates — is exactly ``0.0``.  The
@@ -53,6 +69,7 @@ from repro.kernels.backends import (
 )
 from repro.kernels.plan import ExecutionPlan
 from repro.quant.quantizer import QuantSpec, compute_scale
+from repro.utils.shapes import level_start_indices
 from repro.utils.timing import kernel_section
 
 __all__ = [
@@ -68,11 +85,26 @@ the C kernels replicate the numpy float op order including reduceat's
 pairwise summation — and deliberately separate from the fused-vs-reference
 0.0 gate so a diverging platform would widen only this tier, explicitly."""
 
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 """Expected ``defa_kernels_abi()`` of the library; must match the C source.
 A stale in-place build after a signature change is refused, not called."""
 
 _LIB_STEM = "_defa_kernels"
+
+_PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+_SIGNATURES = {
+    # offsets, ref, size, ranges, batch, n_q, n_h, n_l, n_p, ref_stride, out, counts
+    "defa_locate": [_PTR] * 4 + [_I64] * 6 + [_PTR] * 2,
+    # loc, kept, k, n_l, n_p, size, dims, levels, weights, valid, flat
+    "defa_compact_trace": [_PTR] * 2 + [_I64] * 3 + [_PTR] * 6,
+    # value, kept, flat_idx, weights, valid, attn, k, d_h, n_in, n_h, n_q,
+    # points_per_seg, batch, chunk, contrib, sums, out
+    "defa_gather_combine_segsum": [_PTR] * 6 + [_I64] * 8 + [_PTR] * 3,
+    # x, out, n, scales, row_size, qmin, qmax
+    "defa_fake_quantize": [_PTR, _PTR, _I64, _PTR, _I64, _F64, _F64],
+}
+"""ctypes argument types of every void entry point of the library."""
 
 _STACK_LEVELS = 48
 """Recursion head-room of the C pairwise segment sum (each level halves the
@@ -92,8 +124,10 @@ def _load_library() -> ctypes.CDLL | None:
         try:
             lib = ctypes.CDLL(str(path))
             abi = lib.defa_kernels_abi
-            lib.defa_gather_combine_segsum.restype = None
-            lib.defa_fake_quantize.restype = None
+            for entry, argtypes in _SIGNATURES.items():
+                function = getattr(lib, entry)
+                function.argtypes = argtypes
+                function.restype = None
         except (OSError, AttributeError):
             continue
         abi.restype = ctypes.c_int64
@@ -114,6 +148,11 @@ registry then resolves ``"compiled"`` to ``"fused"`` with a warning."""
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
+
+
+def _level_sizes(spatial_shapes) -> np.ndarray:
+    """``(N_l, 2)`` float32 ``(width, height)`` of every pyramid level."""
+    return np.array([(s.width, s.height) for s in spatial_shapes], dtype=FLOAT_DTYPE)
 
 
 def _rowwise_scales(x: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -145,13 +184,140 @@ class CompiledBackend(FusedBackend):
 
     Inherits the fused backend's plan/arena conventions (``fused = True``:
     runners thread :class:`ExecutionPlan` arenas through it, plan-less calls
-    use the internal retention-capped scratch) and overrides the two hot
-    paths with single-pass C kernels.  Steady-state calls perform no
-    allocations beyond the same plan buffers the fused backend uses — the C
-    scratch rows live in the arena too.
+    use the internal retention-capped scratch), overrides the gather/
+    aggregate kernel and adds the ``locate_into`` / ``compact_trace_arrays``
+    / ``fake_quantize_into`` hooks, all single-pass C kernels.  Steady-state
+    calls perform no large allocations beyond a subset of the plan buffers
+    the fused backend uses — the C scratch rows live in the arena too, and
+    the compact trace needs none of the fused path's per-point scratch.
     """
 
     name = "compiled"
+
+    def locate_into(
+        self,
+        offsets: np.ndarray,
+        reference_points: np.ndarray,
+        spatial_shapes,
+        level_ranges: tuple[float, ...] | None,
+        out: np.ndarray,
+    ) -> np.ndarray | None:
+        """Clamp, divide and add in one C pass into *out*; ``None`` = unsupported.
+
+        ``offsets`` is ``(B, N_q, N_h, N_l, N_p, 2)`` in level pixels and
+        ``reference_points`` is shared ``(N_q, N_l, 2)`` or per-image
+        ``(B, N_q, N_l, 2)``.  Writes the sampling locations of
+        ``RangeNarrowing(level_ranges).clamp_offsets`` followed by
+        ``MSDeformAttn.compute_sampling_locations`` into *out*, bit for bit,
+        without modifying ``offsets``; ``level_ranges=None`` skips the clamp.
+        Returns the ``(B,)`` int64 per-image count of offset components the
+        clamp changed (all zero without a clamp).
+        """
+        if (
+            offsets.ndim != 6
+            or offsets.dtype != FLOAT_DTYPE
+            or out.dtype != FLOAT_DTYPE
+            or out.shape != offsets.shape
+            or not offsets.flags.c_contiguous
+            or not out.flags.c_contiguous
+        ):
+            return None
+        batch, n_q, n_h, n_l, n_p, _ = offsets.shape
+        if len(spatial_shapes) != n_l:
+            return None
+        ref = np.ascontiguousarray(reference_points, dtype=FLOAT_DTYPE)
+        if ref.shape == (n_q, n_l, 2):
+            ref_stride = 0
+        elif ref.shape == (batch, n_q, n_l, 2):
+            ref_stride = n_q * n_l * 2
+        else:
+            return None
+        ranges = None
+        if level_ranges is not None:
+            ranges = np.asarray(level_ranges, dtype=FLOAT_DTYPE)
+            if ranges.shape != (n_l,):
+                return None
+        sizes = _level_sizes(spatial_shapes)  # named: alive for the call
+        counts = np.empty(batch, dtype=np.int64)
+        _LIB.defa_locate(
+            _ptr(offsets),
+            _ptr(ref),
+            _ptr(sizes),
+            None if ranges is None else _ptr(ranges),
+            ctypes.c_int64(batch),
+            ctypes.c_int64(n_q),
+            ctypes.c_int64(n_h),
+            ctypes.c_int64(n_l),
+            ctypes.c_int64(n_p),
+            ctypes.c_int64(ref_stride),
+            _ptr(out),
+            _ptr(counts),
+        )
+        return counts
+
+    def compact_trace_arrays(
+        self,
+        sampling_locations: np.ndarray,
+        kept: np.ndarray,
+        spatial_shapes,
+        plan: ExecutionPlan | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """Per-point compact-trace arrays ``(levels, weights, valid, flat)``.
+
+        One C pass over the kept point ids of the ``(B, N_q, N_h, N_l, N_p,
+        2)`` locations, bit-identical to ``_compact_trace_arrays_fused``.
+        The arrays live in *plan* buffers under the fused path's names (fresh
+        arrays without a plan); ``None`` means the input is unsupported and
+        the caller runs the numpy code.
+        """
+        if (
+            sampling_locations.ndim != 6
+            or sampling_locations.dtype != FLOAT_DTYPE
+            or not sampling_locations.flags.c_contiguous
+            or kept.dtype != np.int64
+            or kept.ndim != 1
+            or not kept.flags.c_contiguous
+        ):
+            return None
+        n_l, n_p = sampling_locations.shape[3], sampling_locations.shape[4]
+        if len(spatial_shapes) != n_l:
+            return None
+        k = int(kept.size)
+        if k and (kept.min() < 0 or kept.max() >= sampling_locations.size // 2):
+            return None  # the numpy indexing raises the IndexError
+        if plan is not None:
+            buffer = plan.buffer
+        else:  # escapes to the caller: fresh arrays
+
+            def buffer(name, shape, dtype):
+                return np.empty(shape, dtype=dtype)
+
+        levels = buffer("trace.levels", (k,), np.int64)
+        weights = buffer("trace.weights", (k, 4), FLOAT_DTYPE)
+        valid = buffer("trace.valid", (k, 4), np.bool_)
+        flat = buffer("trace.flat", (k, 4), np.int64)
+        dims = np.array(
+            [
+                (s.height, s.width, start)
+                for s, start in zip(spatial_shapes, level_start_indices(spatial_shapes))
+            ],
+            dtype=np.int64,
+        )
+        sizes = _level_sizes(spatial_shapes)
+        _LIB.defa_compact_trace(
+            _ptr(sampling_locations),
+            _ptr(kept),
+            ctypes.c_int64(k),
+            ctypes.c_int64(n_l),
+            ctypes.c_int64(n_p),
+            _ptr(sizes),
+            _ptr(dims),
+            _ptr(levels),
+            _ptr(weights),
+            _ptr(valid.view(np.uint8)),
+            _ptr(flat),
+        )
+        return levels, weights, valid, flat
 
     def compact_gather_aggregate(
         self,

@@ -847,6 +847,7 @@ def _compact_trace_impl(
     sampling_locations: np.ndarray,
     point_mask: np.ndarray | None,
     plan: ExecutionPlan | None = None,
+    backend=None,
 ) -> CompactSamplingTrace:
     """Shared body of the compacted-trace constructors.
 
@@ -855,11 +856,14 @@ def _compact_trace_impl(
     bilinear neighbour/weight/index math runs on the mask survivors only, so
     the cost is proportional to the keep ratio rather than the grid size.
 
-    With a ``plan`` every per-point array (levels, neighbour rows/cols,
-    weights, validity, flat indices) is built in-place inside reused arena
-    buffers — bit-identical to the allocating path (same float expressions in
-    the same order, with the ``np.stack`` copies replaced by column stores).
-    The trace arrays then *are* plan buffers: valid until the plan's next
+    A backend with a ``compact_trace_arrays`` hook (the compiled backend)
+    builds the per-point arrays in one pass; when it declines, or has no
+    hook, the numpy code below runs — bit-identical either way.  With a
+    ``plan`` every per-point array (levels, neighbour rows/cols, weights,
+    validity, flat indices) is built in-place inside reused arena buffers —
+    bit-identical to the allocating path (same float expressions in the same
+    order, with the ``np.stack`` copies replaced by column stores).  The
+    trace arrays then *are* plan buffers: valid until the plan's next
     forward, per the :class:`~repro.kernels.plan.ExecutionPlan` lifetime
     rules.
     """
@@ -870,17 +874,12 @@ def _compact_trace_impl(
     else:
         kept = np.flatnonzero(np.asarray(point_mask, dtype=bool).reshape(-1))
 
-    widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
-    heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
-    hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
-    wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
-    starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
-
-    if plan is not None:
-        lvl, weights, valid, safe_flat = _compact_trace_arrays_fused(
-            sampling_locations, kept, n_p, n_l, widths, heights, hi, wi, starts, plan
-        )
-    else:
+    hook = getattr(resolve_backend(backend), "compact_trace_arrays", None)
+    arrays = None if hook is None else hook(sampling_locations, kept, spatial_shapes, plan)
+    if arrays is None and plan is not None:
+        arrays = _compact_trace_arrays_fused(sampling_locations, kept, spatial_shapes, plan)
+    if arrays is None:
+        widths, heights, hi, wi, starts = _level_arrays(spatial_shapes)
         lvl = (kept // n_p) % n_l
         loc = np.ascontiguousarray(sampling_locations).reshape(total_points, 2)[kept]
         # Identical float32 expressions as the dense trace path (via
@@ -892,6 +891,8 @@ def _compact_trace_impl(
             x, y, hi[lvl][:, None], wi[lvl][:, None], starts[lvl][:, None]
         )
         safe_flat[~valid] = -1  # freshly allocated: in-place scatter, no copy
+        arrays = lvl, weights, valid, safe_flat
+    lvl, weights, valid, safe_flat = arrays
     return CompactSamplingTrace(
         kept=kept,
         levels=lvl,
@@ -907,16 +908,23 @@ def _compact_trace_impl(
     )
 
 
+def _level_arrays(
+    spatial_shapes: list[LevelShape],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-level ``(widths, heights)`` as float32 and ``(heights, widths,
+    starts)`` as int64 — the operands of the compact-trace expressions."""
+    widths = np.array([s.width for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    heights = np.array([s.height for s in spatial_shapes], dtype=FLOAT_DTYPE)
+    hi = np.array([s.height for s in spatial_shapes], dtype=np.int64)
+    wi = np.array([s.width for s in spatial_shapes], dtype=np.int64)
+    starts = np.array(level_start_indices(spatial_shapes), dtype=np.int64)
+    return widths, heights, hi, wi, starts
+
+
 def _compact_trace_arrays_fused(
     sampling_locations: np.ndarray,
     kept: np.ndarray,
-    n_p: int,
-    n_l: int,
-    widths: np.ndarray,
-    heights: np.ndarray,
-    hi: np.ndarray,
-    wi: np.ndarray,
-    starts: np.ndarray,
+    spatial_shapes: list[LevelShape],
     plan: ExecutionPlan,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Buffer-reusing per-point trace arrays: ``(levels, weights, valid, flat)``.
@@ -924,8 +932,11 @@ def _compact_trace_arrays_fused(
     Bit-identical to the allocating branch of :func:`_compact_trace_impl`:
     every float expression matches :func:`_neighbor_grid` (the int64 operand
     promotions included), the stacks become column stores, and the integer
-    flat-index arithmetic is exact in any order.
+    flat-index arithmetic is exact in any order.  The compiled backend's
+    ``defa_compact_trace`` kernel replays these expressions point by point.
     """
+    n_l, n_p = sampling_locations.shape[-3], sampling_locations.shape[-2]
+    widths, heights, hi, wi, starts = _level_arrays(spatial_shapes)
     k = int(kept.size)
     loc_flat = np.ascontiguousarray(sampling_locations).reshape(-1, 2)
     loc = plan.take("trace.loc", loc_flat, kept, axis=0)  # (K, 2)
@@ -1016,6 +1027,7 @@ def multi_scale_neighbors_sparse(
     sampling_locations: np.ndarray,
     point_mask: np.ndarray | None = None,
     plan: ExecutionPlan | None = None,
+    backend=None,
 ) -> CompactSamplingTrace:
     """Compacted-trace variant of :func:`multi_scale_neighbors`.
 
@@ -1026,6 +1038,8 @@ def multi_scale_neighbors_sparse(
     points; construction cost scales with the keep ratio.  With a ``plan``
     the per-point arrays live in reused arena buffers (fused execution) —
     the returned trace is then only valid until the plan's next forward.
+    ``backend`` selects the kernel backend (``None`` follows the process
+    default; the backends are bit-identical).
     """
     sampling_locations = np.asarray(sampling_locations, dtype=FLOAT_DTYPE)
     if sampling_locations.ndim != 5 or sampling_locations.shape[-1] != 2:
@@ -1044,6 +1058,7 @@ def multi_scale_neighbors_sparse(
         sampling_locations[None],
         None if point_mask is None else point_mask[None],
         plan=plan,
+        backend=backend,
     )
 
 
@@ -1052,6 +1067,7 @@ def multi_scale_neighbors_sparse_batched(
     sampling_locations: np.ndarray,
     point_mask: np.ndarray | None = None,
     plan: ExecutionPlan | None = None,
+    backend=None,
 ) -> CompactSamplingTrace:
     """Batched variant of :func:`multi_scale_neighbors_sparse`.
 
@@ -1072,7 +1088,9 @@ def multi_scale_neighbors_sparse_batched(
         point_mask = np.asarray(point_mask, dtype=bool)
         if point_mask.shape != sampling_locations.shape[:-1]:
             raise ValueError("point_mask shape must match sampling_locations[:-1]")
-    return _compact_trace_impl(spatial_shapes, sampling_locations, point_mask, plan=plan)
+    return _compact_trace_impl(
+        spatial_shapes, sampling_locations, point_mask, plan=plan, backend=backend
+    )
 
 
 # Shared by the sparse kernels below and re-exported for backward
@@ -1332,7 +1350,7 @@ def _core_sparse_impl(
     backend = resolve_backend(backend)
     with kernel_section("neighbors"):
         trace = _compact_trace_impl(
-            spatial_shapes, sampling_locations, point_mask, plan=plan
+            spatial_shapes, sampling_locations, point_mask, plan=plan, backend=backend
         )
     attn_all = np.ascontiguousarray(attention_weights).reshape(-1)
     if plan is not None:

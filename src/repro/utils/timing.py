@@ -1,7 +1,9 @@
 """Lightweight named-section wall-clock accounting for the hot kernels.
 
 The DEFA pipeline and the grid-sampling kernels mark their phases with
-:func:`kernel_section` ("value_proj", "neighbors", "gather", "aggregate", ...).
+:func:`kernel_section` ("value_proj", "neighbors", "gather", "aggregate", ...);
+"neighbors" covers offsets → locations → (compact) trace: the range-narrowing
+clamp, the sampling locations and the bilinear neighbour index math.
 When nobody is collecting, a section is a single truthiness check — cheap
 enough to leave enabled in production code.  Wrapping a region in
 :func:`collect_kernel_timings` activates collection and yields a

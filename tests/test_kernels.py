@@ -23,6 +23,7 @@ from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.kernels import (
     COMPILED_AVAILABLE,
     KERNEL_BACKENDS,
+    ExecutionOptions,
     ExecutionPlan,
     compiled_backend,
     get_backend,
@@ -164,9 +165,11 @@ class TestFusedBitIdentity:
 
     def test_fused_trace_construction_bit_identical(self):
         _, locs, _, mask = _kernel_inputs(seed=3)
-        ref = multi_scale_neighbors_sparse(SHAPES, locs, point_mask=mask)
+        ref = multi_scale_neighbors_sparse(
+            SHAPES, locs, point_mask=mask, backend="reference"
+        )
         fused = multi_scale_neighbors_sparse(
-            SHAPES, locs, point_mask=mask, plan=ExecutionPlan()
+            SHAPES, locs, point_mask=mask, plan=ExecutionPlan(), backend="fused"
         )
         for field in ("kept", "levels", "flat_indices", "weights", "valid"):
             assert np.array_equal(getattr(ref, field), getattr(fused, field)), field
@@ -187,6 +190,10 @@ class TestFusedBitIdentity:
         assert np.array_equal(ref.memory, fast.memory)
         for a, b in zip(ref.fmap_masks, fast.fmap_masks):
             assert np.array_equal(a, b)
+        assert len(ref.layer_stats) == len(fast.layer_stats) == 3
+        for a, b in zip(ref.layer_stats, fast.layer_stats):
+            assert a.offset_clipping_fraction == b.offset_clipping_fraction
+            assert a.pixels_kept_next == b.pixels_kept_next
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_batched_encoder_backends_bit_identical(self, backend):
@@ -432,3 +439,195 @@ class TestCompiledFakeQuantize:
             backend.fake_quantize_into(x64, self.SPEC, 1.0, np.empty((4, 4), np.float32))
             is None
         )
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """Bit patterns of a float32 array (±0.0 and NaN payloads included)."""
+    return np.ascontiguousarray(array).view(np.uint32)
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled library not built")
+class TestCompiledSamplingKernels:
+    """``defa_locate`` and ``defa_compact_trace`` against the numpy code they
+    replace, compared bitwise; unsupported inputs must decline (``None``)."""
+
+    RANGES = (2.0, 1.5, 1.0)
+
+    @staticmethod
+    def _offsets(batch, seed=0):
+        rng = np.random.default_rng(seed)
+        offsets = rng.normal(0.0, 1.5, (batch, N_Q, N_H, N_L, N_P, 2)).astype(np.float32)
+        # exactly on the range, just past it, and infinite: clamp boundaries
+        offsets[0, 0, 0, 0, 0] = (2.0, -2.0)
+        offsets[0, 0, 0, 1, 0] = (np.nextafter(np.float32(1.5), np.float32(2)), -np.inf)
+        offsets[0, 1, 0, 2, 1] = (np.inf, -0.0)
+        return offsets
+
+    @staticmethod
+    def _numpy_locate(offsets, ref, ranges):
+        from repro.core.range_narrowing import RangeNarrowing
+        from repro.nn.msdeform_attn import MSDeformAttn
+
+        offsets = offsets.copy()
+        counts = np.zeros(offsets.shape[0], dtype=np.int64)
+        if ranges is not None:
+            narrowing = RangeNarrowing(ranges)
+            counts = narrowing.clipped_counts(offsets)
+            narrowing.clamp_offsets(offsets, out=offsets)
+        attn = MSDeformAttn(d_model=16, num_heads=N_H, num_levels=N_L, num_points=N_P, rng=0)
+        return attn.compute_sampling_locations(ref, offsets, SHAPES), counts
+
+    @pytest.mark.parametrize("ranges", [RANGES, None])
+    @pytest.mark.parametrize("batch,per_image_ref", [(1, False), (3, False), (3, True)])
+    def test_locate_bit_identical(self, batch, per_image_ref, ranges):
+        offsets = self._offsets(batch)
+        rng = np.random.default_rng(1)
+        ref_shape = ((batch,) if per_image_ref else ()) + (N_Q, N_L, 2)
+        ref = rng.uniform(0.0, 1.0, ref_shape).astype(np.float32)
+        expected, expected_counts = self._numpy_locate(offsets, ref, ranges)
+        before = offsets.copy()
+        out = np.empty_like(offsets)
+        counts = resolve_backend("compiled").locate_into(offsets, ref, SHAPES, ranges, out)
+        assert counts is not None
+        assert np.array_equal(_bits(out), _bits(expected))
+        assert np.array_equal(counts, expected_counts)
+        if ranges is not None:
+            assert counts[0] > 0
+        assert np.array_equal(_bits(offsets), _bits(before))  # input untouched
+
+    def test_locate_declines_unsupported_layouts(self):
+        backend = resolve_backend("compiled")
+        offsets = self._offsets(2)
+        ref = np.full((N_Q, N_L, 2), 0.5, dtype=np.float32)
+        strided = np.repeat(offsets, 2, axis=0)[::2]  # non-contiguous
+        assert not strided.flags.c_contiguous
+        out = np.empty_like(offsets)
+        assert backend.locate_into(strided, ref, SHAPES, self.RANGES, out) is None
+        as64 = offsets.astype(np.float64)
+        assert backend.locate_into(as64, ref, SHAPES, self.RANGES, as64.copy()) is None
+        odd_ref = np.full((5, N_Q, N_L, 2), 0.5, dtype=np.float32)  # batch mismatch
+        assert backend.locate_into(offsets, odd_ref, SHAPES, None, out) is None
+
+    @staticmethod
+    def _trace_fields(trace):
+        return {
+            "kept": trace.kept,
+            "levels": trace.levels,
+            "flat_indices": trace.flat_indices,
+            "weights": _bits(trace.weights),
+            "valid": trace.valid,
+        }
+
+    def _assert_trace_bit_identical(self, locs, mask):
+        from repro.nn.grid_sample import _compact_trace_impl
+
+        oracle = _compact_trace_impl(SHAPES, locs, mask, plan=ExecutionPlan(), backend="fused")
+        expected = {k: v.copy() for k, v in self._trace_fields(oracle).items()}
+        for plan in (ExecutionPlan(), None):
+            got = _compact_trace_impl(SHAPES, locs, mask, plan=plan, backend="compiled")
+            for name, value in self._trace_fields(got).items():
+                assert value.dtype == expected[name].dtype, name
+                assert np.array_equal(value, expected[name]), name
+        return expected
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_compact_trace_bit_identical(self, batch):
+        rng = np.random.default_rng(batch)
+        locs = rng.uniform(-0.15, 1.15, (batch, N_Q, N_H, N_L, N_P, 2)).astype(np.float32)
+        mask = rng.uniform(0.0, 1.0, locs.shape[:-1]) < 0.35
+        expected = self._assert_trace_bit_identical(locs, mask)
+        assert 0 < expected["kept"].size < mask.size
+        assert (expected["flat_indices"] == -1).any()  # out-of-bounds neighbours
+        assert expected["valid"].all(axis=1).any()
+
+    def test_compact_trace_edges(self):
+        """Pixel centres (zero fractions), locations outside [0, 1] (floor of
+        negatives, every neighbour invalid) and the exact corners."""
+        locs = np.zeros((1, N_Q, N_H, N_L, N_P, 2), dtype=np.float32)
+        for lvl, shape in enumerate(SHAPES):
+            cols = (np.arange(N_Q) % shape.width + 0.5) / shape.width
+            rows = (np.arange(N_Q) % shape.height + 0.5) / shape.height
+            locs[0, :, :, lvl, 0, 0] = cols[:, None]
+            locs[0, :, :, lvl, 0, 1] = rows[:, None]
+        locs[0, :, :, :, 1] = np.linspace(-1.5, 2.5, N_Q, dtype=np.float32)[:, None, None, None]
+        locs[0, 0, 0, :, 1] = (0.0, 1.0)
+        locs[0, 1, 0, :, 1] = (-0.0, -1e-7)
+        expected = self._assert_trace_bit_identical(locs, None)
+        assert expected["kept"].size == locs[..., 0].size
+        assert (expected["flat_indices"] == -1).all(axis=1).any()  # fully outside
+
+    def test_compact_trace_empty(self):
+        locs = np.full((2, N_Q, N_H, N_L, N_P, 2), 0.5, dtype=np.float32)
+        mask = np.zeros(locs.shape[:-1], dtype=bool)
+        expected = self._assert_trace_bit_identical(locs, mask)
+        assert expected["kept"].size == 0
+
+    def test_compact_trace_declines_unsupported_layouts(self):
+        backend = resolve_backend("compiled")
+        locs = np.full((1, N_Q, N_H, N_L, N_P, 2), 0.5, dtype=np.float32)
+        kept = np.arange(10, dtype=np.int64)
+        strided = np.repeat(locs, 2, axis=-1)[..., ::2]
+        assert not strided.flags.c_contiguous
+        assert backend.compact_trace_arrays(strided, kept, SHAPES) is None
+        assert backend.compact_trace_arrays(locs.astype(np.float64), kept, SHAPES) is None
+        assert backend.compact_trace_arrays(locs, kept.astype(np.int32), SHAPES) is None
+        past_end = np.array([0, locs[..., 0].size], dtype=np.int64)  # out of bounds
+        assert backend.compact_trace_arrays(locs, past_end, SHAPES) is None
+        # ...and the constructor then runs the numpy code, bit-identically
+        from repro.nn.grid_sample import _compact_trace_impl
+
+        fallback = _compact_trace_impl(SHAPES, strided, None, backend="compiled")
+        oracle = _compact_trace_impl(SHAPES, locs, None, backend="fused")
+        assert np.array_equal(_bits(fallback.weights), _bits(oracle.weights))
+        assert np.array_equal(fallback.flat_indices, oracle.flat_indices)
+
+    def test_all_queries_pruned_clip_fraction_is_zero(self):
+        from repro.core.pipeline import DEFAAttention
+        from repro.nn.msdeform_attn import MSDeformAttn
+
+        attn = MSDeformAttn(d_model=32, num_heads=N_H, num_levels=N_L, num_points=N_P, rng=0)
+        rng = np.random.default_rng(2)
+        features = rng.standard_normal((N_IN, 32)).astype(np.float32)
+        reference = rng.uniform(0.0, 1.0, (N_IN, N_L, 2)).astype(np.float32)
+        config = DEFAConfig(enable_query_pruning=True, level_ranges=(0.1, 0.1, 0.1))
+        defa = DEFAAttention(attn, config)
+        for backend in ("fused", "compiled"):
+            options = ExecutionOptions(kernel_backend=backend)
+            kept_all = defa.forward_detailed(
+                features, reference, features, SHAPES, np.ones(N_IN, bool), options
+            )
+            none_kept = defa.forward_detailed(
+                features, reference, features, SHAPES, np.zeros(N_IN, bool), options
+            )
+            assert kept_all.stats.offset_clipping_fraction > 0.0
+            assert none_kept.stats.offset_clipping_fraction == 0.0
+
+    def test_compiled_forward_skips_the_numpy_trace_scratch(self):
+        shapes, encoder, features, pos, reference_points = _encoder_fixture()
+        config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+        runners = {
+            name: DEFAEncoderRunner(
+                encoder,
+                config,
+                options=ExecutionOptions(sparse_mode="sparse", kernel_backend=name),
+            )
+            for name in ("fused", "compiled")
+        }
+        for runner in runners.values():
+            runner.forward(features, pos, reference_points, shapes)
+
+        def names(runner):
+            return {name for plan in runner._plans.values() for name, _ in plan._buffers}
+
+        scratch = {"trace.loc", "trace.x", "trace.y", "trace.rows", "trace.cols"}
+        assert scratch <= names(runners["fused"])
+        trace_names = {n for n in names(runners["compiled"]) if n.startswith("trace.")}
+        assert trace_names == {"trace.levels", "trace.weights", "trace.valid", "trace.flat"}
+        assert runners["compiled"].plan_stats()["bytes"] < runners["fused"].plan_stats()["bytes"]
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled library not built")
+def test_loader_refuses_a_library_with_another_abi(monkeypatch):
+    assert compiled_backend._load_library() is not None
+    monkeypatch.setattr(compiled_backend, "_ABI_VERSION", compiled_backend._ABI_VERSION + 1)
+    assert compiled_backend._load_library() is None
