@@ -461,6 +461,7 @@ class DEFAEncoderRunner:
                 compact=compact,
                 plan=plan,
                 out=stream,
+                backend=backend,
             )
             attn_out.stats.sparse_ffn = compact
             fmap_mask = attn_out.fmap_mask_next
@@ -536,6 +537,7 @@ class DEFAEncoderRunner:
                 compact=compact,
                 plan=plan,
                 out=stream,
+                backend=backend,
             )
             for b, image in enumerate(attn_out.images):
                 image.stats.sparse_ffn = compact

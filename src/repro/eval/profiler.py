@@ -480,7 +480,8 @@ class EncoderSparseSpeedupReport:
 
     dense_kernels: dict[str, float]
     """Per-section seconds of one masked-dense encoder forward (now including
-    the ``ffn`` / ``norm`` sections of the inter-block stage)."""
+    the ``ffn`` / ``norm`` sections of the inter-block stage; ``norm`` is the
+    residual adds, LayerNorm, and the stage's row gather/scatter)."""
 
     sparse_kernels: dict[str, float]
     """Per-section seconds of one block-sparse encoder forward."""
@@ -736,7 +737,11 @@ def measure_encoder_blockwise_equivalence(
         )
         keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
         out = layer.forward_ffn_stage(
-            x, attn_out.output, keep_mask=keep_mask, compact=compact
+            x,
+            attn_out.output,
+            keep_mask=keep_mask,
+            compact=compact,
+            backend=runner.resolved_backend(),
         )
         return out, attn_out.fmap_mask_next
 
@@ -823,7 +828,11 @@ def measure_streaming_blockwise_equivalence(
         )
         keep_mask, compact = runner.ffn_stage_plan(fmap_mask, x.shape[0])
         out = layer.forward_ffn_stage(
-            x, attn_out.output, keep_mask=keep_mask, compact=compact
+            x,
+            attn_out.output,
+            keep_mask=keep_mask,
+            compact=compact,
+            backend=runner.resolved_backend(),
         )
         return out, attn_out.fmap_mask_next
 

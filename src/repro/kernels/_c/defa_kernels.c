@@ -1,6 +1,6 @@
 /* Compiled DEFA hot-path kernels.
  *
- * C implementations of the true hot loops of the sparse encoder, in four
+ * C implementations of the true hot loops of the sparse encoder, in six
  * entry points:
  *
  * - defa_locate: range-narrowing clamp (with the per-image count of clamped
@@ -10,7 +10,10 @@
  *   compacted sampling trace, one pass over the kept points;
  * - defa_gather_combine_segsum: the flat neighbour gather, the 4-neighbour
  *   bilinear weight combine and the segment sum;
- * - defa_fake_quantize: the fused fake-quantize chain.
+ * - defa_fake_quantize: the fused fake-quantize chain;
+ * - defa_add_layer_norm: residual add + LayerNorm over (optionally gathered
+ *   and scattered) rows, the inter-block stage's norm;
+ * - defa_bias_relu: the FFN's first bias add + ReLU in one in-place pass.
  *
  * Loaded via ctypes by repro/kernels/compiled_backend.py; there is
  * deliberately no Python C-API dependency so the library builds with any C
@@ -42,6 +45,15 @@
  * - The fake-quantize chain is elementwise float64 divide -> rint ->
  *   clip -> rescale -> float32 store, the exact op sequence of
  *   repro.quant.quantizer.fake_quantize's in-place path.
+ * - The add + LayerNorm is repro.nn.tensor_utils.layer_norm(a + b) per row,
+ *   in its float32 op order: x = a + b; mean = sum(x) / D; var =
+ *   sum((x - mean)^2) / D; out = (x - mean) / sqrtf(var + (float)eps) *
+ *   weight + bias.  Both row sums are numpy's last-axis float32 reduction:
+ *   the identity 0.0f plus pairwise_sum over the *whole* row (unlike
+ *   reduceat's first + pairwise(rest)), so an all -0.0 row sums to +0.0.
+ * - The bias + ReLU is `h += b` followed by np.maximum(h, 0.0) as numpy's
+ *   SIMD loops compute it: t > 0 or NaN keeps t (NaN bits pass through),
+ *   anything else, -0.0 included, becomes +0.0.
  *
  * Must be compiled with FP contraction off (-ffp-contract=off) — a fused
  * multiply-add would change the rounding of the combine loop and of the
@@ -54,7 +66,7 @@
 
 /* Bumped whenever a signature below changes; the ctypes loader refuses a
  * stale library rather than calling it with a mismatched ABI. */
-#define DEFA_KERNELS_ABI 2
+#define DEFA_KERNELS_ABI 3
 
 int64_t
 defa_kernels_abi(void)
@@ -325,5 +337,117 @@ defa_compact_trace(
             f[n] = ok ? start + (y0 + dy) * wd + (x0 + dx) : -1;
         }
         levels[i] = l;
+    }
+}
+
+/* numpy's float32 pairwise_sum of the n values at x (stride 1).  It and
+ * pairwise_sq_dev below are spelled out separately: one function with a
+ * "square the term" flag vectorized worse and made defa_add_layer_norm about
+ * 40 % slower. */
+static float
+pairwise_sum(const float *x, int64_t n)
+{
+    if (n < 8) {
+        float res = 0.0f;
+        for (int64_t i = 0; i < n; ++i) res += x[i];
+        return res;
+    }
+    if (n <= 128) {
+        float r[8];
+        for (int j = 0; j < 8; ++j) r[j] = x[j];
+        int64_t i = 8;
+        for (; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j) r[j] += x[i + j];
+        float res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += x[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(x, n2) + pairwise_sum(x + n2, n - n2);
+}
+
+/* pairwise_sum of (x[i] - mean)^2, the squares formed on the fly in the
+ * same float32 ops as numpy's `t = x - mean; t * t` temporary. */
+static float
+pairwise_sq_dev(const float *x, int64_t n, float mean)
+{
+    if (n < 8) {
+        float res = 0.0f;
+        for (int64_t i = 0; i < n; ++i) {
+            const float t = x[i] - mean;
+            res += t * t;
+        }
+        return res;
+    }
+    if (n <= 128) {
+        float r[8];
+        for (int j = 0; j < 8; ++j) {
+            const float t = x[j] - mean;
+            r[j] = t * t;
+        }
+        int64_t i = 8;
+        for (; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j) {
+                const float t = x[i + j] - mean;
+                r[j] += t * t;
+            }
+        float res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) {
+            const float t = x[i] - mean;
+            res += t * t;
+        }
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sq_dev(x, n2, mean) + pairwise_sq_dev(x + n2, n - n2, mean);
+}
+
+/* Residual add + LayerNorm over k rows of width d:
+ *
+ *   x = a[in_rows[r]] + b[in_rows[r]]
+ *   out[out_rows[r]] = (x - mean(x)) / sqrtf(var(x) + eps) * weight + bias
+ *
+ * NULL in_rows / out_rows mean row r.  The output row holds x while the row
+ * is normalized, so no scratch is needed; out must not alias a or b.
+ */
+void
+defa_add_layer_norm(
+    const float *restrict a,
+    const float *restrict b,
+    const int64_t *restrict in_rows,
+    const int64_t *restrict out_rows,
+    int64_t k, int64_t d,
+    const float *restrict weight,
+    const float *restrict bias,
+    double eps,
+    float *restrict out)
+{
+    const float epsf = (float)eps;
+    const float df = (float)d;
+    for (int64_t r = 0; r < k; ++r) {
+        const int64_t src = in_rows ? in_rows[r] : r;
+        const float *ar = a + src * d;
+        const float *br = b + src * d;
+        float *o = out + (out_rows ? out_rows[r] : r) * d;
+        for (int64_t c = 0; c < d; ++c) o[c] = ar[c] + br[c];
+        const float mean = (0.0f + pairwise_sum(o, d)) / df;
+        const float var = (0.0f + pairwise_sq_dev(o, d, mean)) / df;
+        const float denom = sqrtf(var + epsf);
+        for (int64_t c = 0; c < d; ++c) o[c] = (o[c] - mean) / denom * weight[c] + bias[c];
+    }
+}
+
+/* In-place FFN bias + ReLU over a (rows, cols) block: h = max(h + b, 0). */
+void
+defa_bias_relu(float *restrict h, const float *restrict b, int64_t rows, int64_t cols)
+{
+    for (int64_t r = 0; r < rows; ++r) {
+        float *hr = h + r * cols;
+        for (int64_t c = 0; c < cols; ++c) {
+            const float t = hr[c] + b[c];
+            hr[c] = (t > 0.0f || t != t) ? t : 0.0f;
+        }
     }
 }

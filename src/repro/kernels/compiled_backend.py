@@ -2,8 +2,9 @@
 
 Loads the shared library built from ``src/repro/kernels/_c/defa_kernels.c``
 (``python setup.py build_ext --inplace``) via :mod:`ctypes` and exposes it as
-a backend object selected per-call/per-config exactly like ``"fused"``.  Four
-entry points cover the hot loops of the sparse encoder:
+a backend object selected per-call/per-config exactly like ``"fused"``.  Six
+entry points cover the hot loops of the sparse encoder and its inter-block
+stage:
 
 * ``defa_locate`` (:meth:`CompiledBackend.locate_into`) — the range-narrowing
   clamp with its per-image count of clamped components, the divide by the
@@ -20,11 +21,18 @@ entry points cover the hot loops of the sparse encoder:
   through memory just to feed ``reduceat``);
 * ``defa_fake_quantize`` — the divide → rint → clip → rescale chain of
   dynamic activation quantization in a single pass, replacing four
-  full-array numpy passes plus a float64 scratch.
+  full-array numpy passes plus a float64 scratch;
+* ``defa_add_layer_norm`` (:meth:`CompiledBackend.add_layer_norm_into`) —
+  the residual add and LayerNorm of one row in one pass, optionally reading
+  gathered rows and writing scattered rows, so the compact inter-block stage
+  needs no row copies and no ``(N, D)`` variance temporary;
+* ``defa_bias_relu`` (:meth:`CompiledBackend.bias_relu_into`) — the FFN's
+  first bias add and ReLU as one in-place pass over the hidden block.
 
-The first two and the last are duck-typed hooks: they return ``None`` for an
-input outside their contract and the caller runs the numpy code, which stays
-the fused path, the no-toolchain fallback and the bit-identity oracle.
+All but ``defa_gather_combine_segsum`` are duck-typed hooks: they return
+``None`` for an input outside their contract and the caller runs the numpy
+code, which stays the fused path, the no-toolchain fallback and the
+bit-identity oracle.
 
 **Graceful degradation.**  When no library is found (no toolchain, never
 built, stale ABI), :data:`COMPILED_AVAILABLE` is ``False`` and
@@ -39,7 +47,14 @@ coordinate, the float64-through fraction and the float32 weight products of
 sequentially in float32 as einsum does, the segment sum replays
 ``np.add.reduceat``'s ``first + pairwise(rest)`` order including the shared
 8 MiB chunk boundaries, and the quantize chain is the same elementwise
-float64 sequence.
+float64 sequence.  The add + LayerNorm is ``a + b``, ``mean = sum / D``,
+``var = sum((x - mean)**2) / D``, ``(x - mean) / sqrtf(var + eps) * weight
++ bias`` in float32, where both row sums are numpy's last-axis reduction:
+the identity ``0.0`` plus ``pairwise_sum`` over the *whole* row (not
+reduceat's ``first + pairwise(rest)``).  The ReLU keeps ``t`` when ``t > 0``
+or ``t`` is NaN and writes ``+0.0`` otherwise — ``-0.0`` included — which is
+what numpy's SIMD ``np.maximum(t, 0.0)`` computes; on a numpy that keeps
+``-0.0`` the hook declines (checked once at import).
 The backend is therefore *bit-identical* to ``"fused"`` on every supported
 input, and :data:`COMPILED_EQUIVALENCE_TOL` — the backend's tier in the
 equivalence probes and ``run_all --check`` gates — is exactly ``0.0``.  The
@@ -85,7 +100,7 @@ the C kernels replicate the numpy float op order including reduceat's
 pairwise summation — and deliberately separate from the fused-vs-reference
 0.0 gate so a diverging platform would widen only this tier, explicitly."""
 
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 """Expected ``defa_kernels_abi()`` of the library; must match the C source.
 A stale in-place build after a signature change is refused, not called."""
 
@@ -103,6 +118,10 @@ _SIGNATURES = {
     "defa_gather_combine_segsum": [_PTR] * 6 + [_I64] * 8 + [_PTR] * 3,
     # x, out, n, scales, row_size, qmin, qmax
     "defa_fake_quantize": [_PTR, _PTR, _I64, _PTR, _I64, _F64, _F64],
+    # a, b, in_rows, out_rows, k, d, weight, bias, eps, out
+    "defa_add_layer_norm": [_PTR] * 4 + [_I64] * 2 + [_PTR] * 2 + [_F64, _PTR],
+    # h, b, rows, cols
+    "defa_bias_relu": [_PTR, _PTR, _I64, _I64],
 }
 """ctypes argument types of every void entry point of the library."""
 
@@ -150,6 +169,21 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
+def _numpy_relu_zeroes_negative_zero() -> bool:
+    """Whether ``np.maximum(t, 0.0)`` maps ``-0.0`` to ``+0.0`` everywhere.
+
+    numpy's SIMD loops (x86 ``max_ps``, NEON ``fmax``) do; a scalar build's
+    ``t >= 0 ? t : 0`` would keep ``-0.0``.  ``defa_bias_relu`` implements
+    the former, so on a host where numpy disagrees the hook declines.  The
+    odd length covers both the vector body and the remainder.
+    """
+    relu = np.maximum(np.full(67, -0.0, dtype=FLOAT_DTYPE), 0.0)
+    return not np.signbit(relu).any()
+
+
+_RELU_MATCHES_NUMPY = _numpy_relu_zeroes_negative_zero()
+
+
 def _level_sizes(spatial_shapes) -> np.ndarray:
     """``(N_l, 2)`` float32 ``(width, height)`` of every pyramid level."""
     return np.array([(s.width, s.height) for s in spatial_shapes], dtype=FLOAT_DTYPE)
@@ -186,7 +220,8 @@ class CompiledBackend(FusedBackend):
     runners thread :class:`ExecutionPlan` arenas through it, plan-less calls
     use the internal retention-capped scratch), overrides the gather/
     aggregate kernel and adds the ``locate_into`` / ``compact_trace_arrays``
-    / ``fake_quantize_into`` hooks, all single-pass C kernels.  Steady-state
+    / ``fake_quantize_into`` / ``add_layer_norm_into`` / ``bias_relu_into``
+    hooks, all single-pass C kernels.  Steady-state
     calls perform no large allocations beyond a subset of the plan buffers
     the fused backend uses — the C scratch rows live in the arena too, and
     the compact trace needs none of the fused path's per-point scratch.
@@ -425,3 +460,94 @@ class CompiledBackend(FusedBackend):
             ctypes.c_double(spec.qmax),
         )
         return out
+
+    def add_layer_norm_into(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        weight: np.ndarray,
+        bias: np.ndarray,
+        eps: float,
+        out: np.ndarray,
+        in_rows: np.ndarray | None = None,
+        out_rows: np.ndarray | None = None,
+    ) -> np.ndarray | None:
+        """``out[out_rows] = layer_norm((a + b)[in_rows])`` in one C pass.
+
+        ``a`` and ``b`` are same-shape float32 arrays read as rows of their
+        last axis, ``out`` any float32 array with that row width (it must
+        not alias ``a`` or ``b``).  ``in_rows`` gathers the rows to
+        normalize, ``out_rows`` scatters the results; ``None`` is the
+        identity for either.  Bit-identical to ``np.add`` followed by
+        :func:`repro.nn.tensor_utils.layer_norm` and numpy's gather/scatter
+        indexing; ``None`` means unsupported input (wrong dtype or layout,
+        mismatched row counts, an index out of ``[0, rows)``) and the caller
+        runs the numpy chain, which raises for a bad index.
+        """
+        arrays = (a, b, weight, bias, out)
+        if any(x.dtype != FLOAT_DTYPE or not x.flags.c_contiguous for x in arrays):
+            return None
+        d = int(a.shape[-1]) if a.ndim else 0
+        if (
+            d == 0
+            or b.shape != a.shape
+            or out.ndim == 0
+            or out.shape[-1] != d
+            or weight.shape != (d,)
+            or bias.shape != (d,)
+        ):
+            return None
+        n_in, n_out = a.size // d, out.size // d
+        k = n_in if in_rows is None else in_rows.size
+        if k != (n_out if out_rows is None else out_rows.size):
+            return None
+        for rows, n in ((in_rows, n_in), (out_rows, n_out)):
+            if rows is None:
+                continue
+            if (
+                rows.dtype != np.int64
+                or rows.ndim != 1
+                or not rows.flags.c_contiguous
+                or (k and (rows.min() < 0 or rows.max() >= n))
+            ):
+                return None
+        _LIB.defa_add_layer_norm(
+            _ptr(a),
+            _ptr(b),
+            None if in_rows is None else _ptr(in_rows),
+            None if out_rows is None else _ptr(out_rows),
+            ctypes.c_int64(k),
+            ctypes.c_int64(d),
+            _ptr(weight),
+            _ptr(bias),
+            ctypes.c_double(eps),
+            _ptr(out),
+        )
+        return out
+
+    def bias_relu_into(self, h: np.ndarray, bias: np.ndarray) -> np.ndarray | None:
+        """``h = np.maximum(h + bias, 0.0)`` in place, one C pass.
+
+        ``h`` is a float32 array whose last axis matches the 1-D ``bias``.
+        Bit-identical to ``h += bias; np.maximum(h, 0.0, out=h)``; ``None``
+        means unsupported input (or a numpy whose ``maximum`` keeps
+        ``-0.0``) and the caller runs those two numpy passes.
+        """
+        if (
+            not _RELU_MATCHES_NUMPY
+            or h.dtype != FLOAT_DTYPE
+            or bias.dtype != FLOAT_DTYPE
+            or not h.flags.c_contiguous
+            or not bias.flags.c_contiguous
+            or h.ndim == 0
+            or bias.shape != (h.shape[-1],)
+        ):
+            return None
+        cols = bias.size
+        _LIB.defa_bias_relu(
+            _ptr(h),
+            _ptr(bias),
+            ctypes.c_int64(h.size // cols if cols else 0),
+            ctypes.c_int64(cols),
+        )
+        return h

@@ -90,12 +90,23 @@ class ExecutionPlan:
     def take(
         self, name: str, source: np.ndarray, indices: np.ndarray, axis: int = 0
     ) -> np.ndarray:
-        """``np.take(source, indices, axis)`` gathered into a plan buffer."""
-        shape = (
-            source.shape[:axis] + np.asarray(indices).shape + source.shape[axis + 1 :]
-        )
+        """``np.take(source, indices, axis)`` gathered into a plan buffer.
+
+        numpy's default ``mode="raise"`` gathers through a temporary copy of
+        ``out`` (nothing may be written before every index is checked).  One
+        bounds check up front lets in-range indices use ``mode="clip"``,
+        which writes straight into the buffer with the same result; negative
+        or out-of-range indices keep the ``"raise"`` call and its semantics.
+        """
+        indices = np.asarray(indices)
+        shape = source.shape[:axis] + indices.shape + source.shape[axis + 1 :]
         out = self.buffer(name, shape, source.dtype)
-        np.take(source, indices, axis=axis, out=out)
+        if indices.size == 0 or (
+            indices.min() >= 0 and indices.max() < source.shape[axis]
+        ):
+            np.take(source, indices, axis=axis, out=out, mode="clip")
+        else:
+            np.take(source, indices, axis=axis, out=out)
         return out
 
     @property

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernels.registry import resolve_backend
 from repro.nn.modules import FeedForward, LayerNorm, Module
 from repro.nn.msdeform_attn import MSDeformAttn, MSDeformAttnOutput
 from repro.nn.tensor_utils import FLOAT_DTYPE
@@ -46,6 +47,15 @@ class EncoderOutput:
 
     layers: list[EncoderLayerOutput] = field(default_factory=list)
     """Per-layer intermediates (present when ``collect_details=True``)."""
+
+
+def _add_norm_hook(add_ln, norm: LayerNorm, a, b, out, in_rows=None, out_rows=None) -> bool:
+    """``out[out_rows] = norm((a + b)[in_rows])`` through a backend's fused
+    ``add_layer_norm_into`` hook; ``False`` (no hook, or it declined) means
+    the caller runs the numpy chain."""
+    return add_ln is not None and (
+        add_ln(a, b, norm.weight, norm.bias, norm.eps, out, in_rows, out_rows) is not None
+    )
 
 
 class DeformableEncoderLayer(Module):
@@ -110,6 +120,7 @@ class DeformableEncoderLayer(Module):
         compact: bool = False,
         plan=None,
         out: np.ndarray | None = None,
+        backend=None,
     ) -> np.ndarray:
         """The inter-block stage ``norm2(z + ffn(z))``, ``z = norm1(src + attn)``.
 
@@ -146,6 +157,14 @@ class DeformableEncoderLayer(Module):
             must not alias it) — the encoder runner passes alternating stream
             buffers so consecutive blocks ping-pong between two arrays.
             Requires ``plan``; without a plan the stage always allocates.
+        backend:
+            Kernel backend (``None`` = process default).  On the plan path a
+            backend with an ``add_layer_norm_into`` hook (the compiled
+            backend) runs each residual add + LayerNorm as one pass — the
+            compact stage's ``norm1`` gathering the kept rows itself and its
+            ``norm2`` writing them straight into the output — and the FFN
+            uses the backend's ``bias_relu_into`` hook; the numpy chain runs
+            otherwise, bit-identically.
 
         Returns the stage output in the shape of ``src``.
         """
@@ -153,20 +172,24 @@ class DeformableEncoderLayer(Module):
         attn_output = np.asarray(attn_output, dtype=FLOAT_DTYPE)
         if out is not None and plan is None:
             raise ValueError("forward_ffn_stage: out= requires a plan")
+        backend = resolve_backend(backend)
+        add_ln = getattr(backend, "add_layer_norm_into", None)
         if keep_mask is None:
             if plan is not None:
                 mixed = plan.buffer("ffn.mixed", src.shape)
                 src2 = plan.buffer("ffn.src2", src.shape)
                 hidden = plan.buffer("ffn.hidden", src.shape[:-1] + (self.ffn.d_ffn,))
+                result = out if out is not None else plan.buffer("ffn.out", src.shape)
                 with kernel_section("norm"):
-                    np.add(src, attn_output, out=mixed)
-                    self.norm1.forward_into(mixed, src2)
+                    if not _add_norm_hook(add_ln, self.norm1, src, attn_output, src2):
+                        np.add(src, attn_output, out=mixed)
+                        self.norm1.forward_into(mixed, src2)
                 with kernel_section("ffn"):
-                    self.ffn.forward_into(src2, mixed, hidden)  # mixed = ffn_out
+                    self.ffn.forward_into(src2, mixed, hidden, backend=backend)  # mixed = ffn_out
                 with kernel_section("norm"):
-                    np.add(src2, mixed, out=mixed)
-                    result = out if out is not None else plan.buffer("ffn.out", src.shape)
-                    self.norm2.forward_into(mixed, result)
+                    if not _add_norm_hook(add_ln, self.norm2, src2, mixed, result):
+                        np.add(src2, mixed, out=mixed)
+                        self.norm2.forward_into(mixed, result)
                 return result
             with kernel_section("norm"):
                 src2 = self.norm1(src + attn_output)
@@ -179,47 +202,58 @@ class DeformableEncoderLayer(Module):
         if keep_mask.shape != src.shape[:-1]:
             raise ValueError("keep_mask must match the row shape of src")
         if not compact:
-            dense = self.forward_ffn_stage(src, attn_output, plan=plan)
-            if plan is not None:
-                result = out if out is not None else plan.buffer("ffn.masked_out", src.shape)
-                np.copyto(result, src)
+            dense = self.forward_ffn_stage(src, attn_output, plan=plan, backend=backend)
+            with kernel_section("norm"):
+                if plan is not None:
+                    result = out if out is not None else plan.buffer("ffn.masked_out", src.shape)
+                    np.copyto(result, src)
+                else:
+                    result = src.copy()
                 result[keep_mask] = dense[keep_mask]
-                return result
-            out_masked = src.copy()
-            out_masked[keep_mask] = dense[keep_mask]
-            return out_masked
+            return result
         d_model = src.shape[-1]
         flat_src = src.reshape(-1, d_model)
         flat_attn = attn_output.reshape(-1, d_model)
-        kept = np.flatnonzero(keep_mask.reshape(-1))
+        with kernel_section("norm"):
+            kept = np.flatnonzero(keep_mask.reshape(-1))
+            if plan is not None:
+                result = out if out is not None else plan.buffer("ffn.compact_out", src.shape)
+                np.copyto(result, src)  # frozen rows carry the block input
+            else:
+                result = src.copy()
+        if not kept.size:
+            return result
+        flat_result = result.reshape(-1, d_model)
         if plan is not None:
-            result = out if out is not None else plan.buffer("ffn.compact_out", src.shape)
-            np.copyto(result, src)
-            if kept.size:
-                with kernel_section("norm"):
+            rows_shape = (kept.size, d_model)
+            src2 = plan.buffer("ffn.rows_src2", rows_shape)
+            with kernel_section("norm"):
+                if not _add_norm_hook(
+                    add_ln, self.norm1, flat_src, flat_attn, src2, in_rows=kept
+                ):
                     mixed = plan.take("ffn.rows_mixed", flat_src, kept)
                     rows_attn = plan.take("ffn.rows_attn", flat_attn, kept)
                     np.add(mixed, rows_attn, out=mixed)
-                    src2 = plan.buffer("ffn.rows_src2", mixed.shape)
                     self.norm1.forward_into(mixed, src2)
-                with kernel_section("ffn"):
-                    hidden = plan.buffer("ffn.hidden", (kept.size, self.ffn.d_ffn))
-                    self.ffn.forward_into(src2, mixed, hidden)  # mixed = ffn_out
-                with kernel_section("norm"):
-                    np.add(src2, mixed, out=mixed)
-                    self.norm2.forward_into(mixed, src2)  # src2 = output rows
-                result.reshape(-1, d_model)[kept] = src2
-            return result
-        out_compact = src.copy()
-        if kept.size:
-            with kernel_section("norm"):
-                src2 = self.norm1(flat_src[kept] + flat_attn[kept])
             with kernel_section("ffn"):
-                ffn_out = self.ffn(src2)
+                hidden = plan.buffer("ffn.hidden", (kept.size, self.ffn.d_ffn))
+                ffn_out = plan.buffer("ffn.rows_mixed", rows_shape)
+                self.ffn.forward_into(src2, ffn_out, hidden, backend=backend)
             with kernel_section("norm"):
-                rows = self.norm2(src2 + ffn_out)
-            out_compact.reshape(-1, d_model)[kept] = rows
-        return out_compact
+                if not _add_norm_hook(
+                    add_ln, self.norm2, src2, ffn_out, flat_result, out_rows=kept
+                ):
+                    np.add(src2, ffn_out, out=ffn_out)
+                    self.norm2.forward_into(ffn_out, src2)  # src2 = output rows
+                    flat_result[kept] = src2
+            return result
+        with kernel_section("norm"):
+            src2 = self.norm1(flat_src[kept] + flat_attn[kept])
+        with kernel_section("ffn"):
+            ffn_out = self.ffn(src2)
+        with kernel_section("norm"):
+            flat_result[kept] = self.norm2(src2 + ffn_out)
+        return result
 
     def forward(
         self,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.registry import resolve_backend
 from repro.nn.tensor_utils import FLOAT_DTYPE, gelu, layer_norm, relu, xavier_uniform
 from repro.utils.rng import as_rng
 
@@ -219,7 +220,7 @@ class FeedForward(Module):
         return self.linear2(self.activation(self.linear1(x)))
 
     def forward_into(
-        self, x: np.ndarray, out: np.ndarray, hidden: np.ndarray
+        self, x: np.ndarray, out: np.ndarray, hidden: np.ndarray, backend=None
     ) -> np.ndarray:
         """:meth:`forward` through caller-provided buffers.
 
@@ -228,11 +229,22 @@ class FeedForward(Module):
         neither may alias ``x``.  Only the ReLU activation supports the
         in-place path (GELU's tanh chain is not expressible as one in-place
         ufunc), so GELU configurations fall back to :meth:`forward` for the
-        activation while keeping the buffered matmuls.  Bit-identical to
-        :meth:`forward` either way.
+        activation while keeping the buffered matmuls.  With ReLU, a
+        ``backend`` (``None`` = process default) with a ``bias_relu_into``
+        hook (the compiled backend) runs ``linear1``'s bias add and the ReLU
+        as one pass over ``hidden``.  Bit-identical to :meth:`forward`
+        either way.
         """
-        self.linear1.forward_into(x, hidden)
-        if isinstance(self.activation, ReLU):
+        relu = isinstance(self.activation, ReLU)
+        bias_relu = getattr(resolve_backend(backend), "bias_relu_into", None)
+        if relu and bias_relu is not None and self.linear1.bias is not None:
+            np.matmul(x, self.linear1.weight, out=hidden)  # linear1 minus its bias
+            if bias_relu(hidden, self.linear1.bias) is not None:
+                return self.linear2.forward_into(hidden, out)
+            hidden += self.linear1.bias
+        else:
+            self.linear1.forward_into(x, hidden)
+        if relu:
             np.maximum(hidden, 0.0, out=hidden)
         else:
             hidden = self.activation(hidden)

@@ -4,6 +4,9 @@ The DEFA pipeline and the grid-sampling kernels mark their phases with
 :func:`kernel_section` ("value_proj", "neighbors", "gather", "aggregate", ...);
 "neighbors" covers offsets → locations → (compact) trace: the range-narrowing
 clamp, the sampling locations and the bilinear neighbour index math.
+The inter-block stage records "ffn" (both linears and the activation) and
+"norm": the residual adds, LayerNorm, and the stage's row gather/scatter
+(the compact stage's kept-row gather, frozen-row carry and scatter).
 When nobody is collecting, a section is a single truthiness check — cheap
 enough to leave enabled in production code.  Wrapping a region in
 :func:`collect_kernel_timings` activates collection and yields a

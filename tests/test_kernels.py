@@ -32,12 +32,13 @@ from repro.kernels import (
     use_backend,
 )
 from repro.quant.quantizer import QuantSpec, fake_quantize
-from repro.nn.encoder import DeformableEncoder
+from repro.nn.encoder import DeformableEncoder, DeformableEncoderLayer
 from repro.nn.grid_sample import (
     ms_deform_attn_from_compact_trace,
     multi_scale_neighbors_sparse,
 )
 from repro.nn.positional import make_reference_points, sine_positional_encoding
+from repro.nn.tensor_utils import layer_norm
 from repro.utils.shapes import LevelShape, make_level_shapes
 
 SHAPES = [LevelShape(8, 12), LevelShape(4, 6), LevelShape(2, 3)]
@@ -152,6 +153,34 @@ class TestExecutionPlan:
         src = np.arange(20.0, dtype=np.float32).reshape(10, 2)
         got = plan.take("t", src, np.array([1, 3, 5]))
         np.testing.assert_array_equal(got, src[[1, 3, 5]])
+
+    def test_take_matches_numpy_bitwise(self):
+        # In-range indices take the unbuffered "clip" gather; negative ones
+        # keep numpy's wrap-around "raise" semantics.  Same bits either way.
+        plan = ExecutionPlan()
+        rng = np.random.default_rng(0)
+        src = rng.standard_normal((10, 6)).astype(np.float32)
+        src[2, :3] = (-0.0, np.nan, -np.inf)
+        cases = [
+            ([1, 3, 9, 0, 2, 2], 0),
+            ([], 0),
+            ([-1, 2, -10], 0),
+            ([5, 0, 2], 1),
+            ([-6, 5], 1),
+        ]
+        for indices, axis in cases:
+            indices = np.array(indices, dtype=np.int64)
+            got = plan.take("t", src, indices, axis=axis)
+            expected = np.take(src, indices, axis=axis)
+            assert got.shape == expected.shape
+            assert np.array_equal(_bits(got), _bits(expected))
+
+    @pytest.mark.parametrize("indices", [[0, 10], [3, -11], [11]])
+    def test_take_out_of_range_still_raises(self, indices):
+        plan = ExecutionPlan()
+        src = np.zeros((10, 4), dtype=np.float32)
+        with pytest.raises(IndexError):
+            plan.take("t", src, np.array(indices, dtype=np.int64))
 
 
 class TestFusedBitIdentity:
@@ -631,3 +660,191 @@ def test_loader_refuses_a_library_with_another_abi(monkeypatch):
     assert compiled_backend._load_library() is not None
     monkeypatch.setattr(compiled_backend, "_ABI_VERSION", compiled_backend._ABI_VERSION + 1)
     assert compiled_backend._load_library() is None
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled library not built")
+class TestCompiledRowKernels:
+    """``defa_add_layer_norm`` and ``defa_bias_relu`` against the numpy chain
+    they replace, compared bitwise; unsupported inputs must decline (``None``)."""
+
+    EPS = 1e-5
+
+    @staticmethod
+    def _rows(n, d, scale=1.0, seed=0):
+        rng = np.random.default_rng(seed)
+        a = (rng.standard_normal((n, d)) * scale).astype(np.float32)
+        b = (rng.standard_normal((n, d)) * scale).astype(np.float32)
+        weight = rng.uniform(0.5, 1.5, d).astype(np.float32)
+        bias = rng.standard_normal(d).astype(np.float32)
+        return a, b, weight, bias
+
+    def _check(self, a, b, weight, bias, out, in_rows=None, out_rows=None):
+        """Run the hook into a copy of *out* and the numpy chain into
+        another; return both (the NaN-free bits are asserted equal)."""
+        expected = out.copy()
+        x = a + b if in_rows is None else a[in_rows] + b[in_rows]
+        with np.errstate(invalid="ignore"):  # inf - inf in the special rows
+            rows = layer_norm(x, weight, bias, self.EPS)
+        if out_rows is None:
+            expected[...] = rows
+        else:
+            expected[out_rows] = rows
+        got = out.copy()
+        result = resolve_backend("compiled").add_layer_norm_into(
+            a, b, weight, bias, self.EPS, got, in_rows, out_rows
+        )
+        assert result is got
+        nan = np.isnan(expected)
+        assert np.array_equal(nan, np.isnan(got))
+        assert np.array_equal(_bits(got)[~nan], _bits(expected)[~nan])
+        return got, expected
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 64, 100, 129, 255, 256, 1000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0])
+    def test_add_layer_norm_bit_identical(self, d, scale):
+        a, b, weight, bias = self._rows(37, d, scale, seed=d)
+        self._check(a, b, weight, bias, np.empty_like(a))
+
+    @pytest.mark.parametrize("d", [7, 256])
+    def test_gather_scatter_and_identity_rows(self, d):
+        a, b, weight, bias = self._rows(20, d, seed=1)
+        gather = np.array([19, 0, 7, 7, 3], dtype=np.int64)
+        scatter = np.array([4, 17, 0, 9, 12], dtype=np.int64)
+        sentinel = np.full((20, d), 7.0, dtype=np.float32)
+        self._check(a, b, weight, bias, np.empty((5, d), np.float32), in_rows=gather)
+        got, _ = self._check(a[:5], b[:5], weight, bias, sentinel, out_rows=scatter)
+        untouched = np.setdiff1d(np.arange(20), scatter)
+        assert (got[untouched] == 7.0).all()  # only the scattered rows change
+        self._check(a, b, weight, bias, sentinel, in_rows=gather, out_rows=scatter)
+        identity = np.arange(20, dtype=np.int64)
+        self._check(a, b, weight, bias, sentinel, in_rows=identity, out_rows=identity)
+
+    def test_zero_rows(self):
+        a, b, weight, bias = self._rows(6, 64, seed=2)
+        empty = np.zeros(0, dtype=np.int64)
+        self._check(a, b, weight, bias, np.empty((0, 64), np.float32), in_rows=empty)
+        got, _ = self._check(a, b, weight, bias, a.copy(), in_rows=empty, out_rows=empty)
+        assert np.array_equal(_bits(got), _bits(a))
+
+    @pytest.mark.parametrize("d", [5, 64, 129])
+    @pytest.mark.parametrize("negative_zero_bias", [False, True])
+    def test_special_rows(self, d, negative_zero_bias):
+        a, b, weight, bias = self._rows(6, d, seed=3)
+        if negative_zero_bias:  # lets the sign of a zero row reach the output
+            bias[:] = -0.0
+        a[0], b[0] = 0.0, 0.0
+        a[1], b[1] = -0.0, -0.0  # sums to -0.0 elementwise, +0.0 over the row
+        a[2, 1] = np.inf
+        a[3, 0], b[3, 2] = np.inf, -np.inf
+        a[4, d // 2] = np.nan
+        self._check(a, b, weight, bias, np.empty_like(a))
+
+    def test_wide_rows_need_no_scratch(self):
+        # The output row doubles as the sum buffer, so any row width works.
+        a, b, weight, bias = self._rows(3, 20000, seed=4)
+        self._check(a, b, weight, bias, np.empty_like(a))
+
+    def test_add_layer_norm_declines_unsupported_input(self):
+        backend = resolve_backend("compiled")
+        a, b, weight, bias = self._rows(8, 16, seed=5)
+        out = np.empty_like(a)
+
+        def hook(a=a, b=b, out=out, in_rows=None, out_rows=None, weight=weight):
+            return backend.add_layer_norm_into(
+                a, b, weight, bias, self.EPS, out, in_rows, out_rows
+            )
+
+        rows = np.arange(8, dtype=np.int64)
+        assert hook(a=a.astype(np.float64)) is None
+        assert hook(out=out.astype(np.float64)) is None
+        assert hook(a=np.repeat(a, 2, axis=1)[:, ::2]) is None  # non-contiguous
+        assert hook(weight=weight[:8]) is None
+        assert hook(in_rows=rows.astype(np.int32)) is None
+        assert hook(in_rows=rows[:5]) is None  # 5 rows into 8 output rows
+        for bad in ([0, 1, 2, 3, 4, 5, 6, 8], [0, 1, 2, 3, 4, 5, 6, -1]):
+            bad = np.array(bad, dtype=np.int64)
+            assert hook(in_rows=bad) is None
+            assert hook(out_rows=bad) is None
+
+    @pytest.mark.parametrize("cols", [1, 13, 128])
+    def test_bias_relu_bit_identical(self, cols):
+        rng = np.random.default_rng(cols)
+        h = rng.standard_normal((9, cols)).astype(np.float32)
+        bias = rng.standard_normal(cols).astype(np.float32)
+        h[0], bias[0] = -0.0, -0.0  # h + b = -0.0: numpy's maximum gives +0.0
+        h[1, :] = np.nan
+        h[2, cols - 1] = -np.inf
+        h[3, 0] = np.float32(-1e-38)
+        expected = h + bias
+        np.maximum(expected, 0.0, out=expected)
+        got = h.copy()
+        assert resolve_backend("compiled").bias_relu_into(got, bias) is got
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_bias_relu_declines_unsupported_input(self):
+        backend = resolve_backend("compiled")
+        h = np.ones((4, 6), dtype=np.float32)
+        bias = np.ones(6, dtype=np.float32)
+        assert backend.bias_relu_into(h.astype(np.float64), bias) is None
+        assert backend.bias_relu_into(h, bias.astype(np.float64)) is None
+        assert backend.bias_relu_into(h[:, ::2], bias[:3]) is None
+        assert backend.bias_relu_into(h, bias[:5]) is None
+        assert (h == 1.0).all()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_ffn_stage_compiled_matches_fused(self, batched, activation):
+        layer = DeformableEncoderLayer(d_model=32, ffn_dim=96, activation=activation, rng=0)
+        rng = np.random.default_rng(6)
+        shape = (3, 50, 32) if batched else (50, 32)
+        src = rng.standard_normal(shape).astype(np.float32)
+        attn = rng.standard_normal(shape).astype(np.float32)
+        mask = rng.uniform(size=shape[:-1]) < 0.4
+        for keep_mask, compact in ((None, False), (mask, False), (mask, True)):
+            outputs = {}
+            for name in ("fused", "compiled"):
+                plan = ExecutionPlan()
+                stream = plan.buffer("stream", shape)
+                for out in (None, stream):  # arena output and caller stream
+                    outputs[name, out is None] = layer.forward_ffn_stage(
+                        src, attn, keep_mask, compact, plan=plan, out=out, backend=name
+                    ).copy()
+            for own_buffer in (True, False):
+                fused = outputs["fused", own_buffer]
+                assert np.array_equal(_bits(outputs["compiled", own_buffer]), _bits(fused))
+            allocating = layer.forward_ffn_stage(src, attn, keep_mask, compact)
+            assert np.array_equal(_bits(allocating), _bits(fused))
+
+    def test_compiled_stage_runs_the_hooks_and_skips_the_row_gathers(self, monkeypatch):
+        backend_class = type(resolve_backend("compiled"))
+        accepted = []
+        for hook in ("add_layer_norm_into", "bias_relu_into"):
+            original = getattr(backend_class, hook)
+
+            def spy(self, *args, _original=original, _hook=hook, **kwargs):
+                result = _original(self, *args, **kwargs)
+                accepted.append((_hook, result is not None))
+                return result
+
+            monkeypatch.setattr(backend_class, hook, spy)
+        layer = DeformableEncoderLayer(d_model=32, ffn_dim=64, rng=0)
+        rng = np.random.default_rng(7)
+        src = rng.standard_normal((40, 32)).astype(np.float32)
+        mask = rng.uniform(size=40) < 0.5
+        for keep_mask, compact in ((None, False), (mask, False), (mask, True)):
+            accepted.clear()
+            plan = ExecutionPlan()
+            layer.forward_ffn_stage(src, src, keep_mask, compact, plan=plan, backend="compiled")
+            # two norms and one ReLU per stage, none declined
+            assert sorted(accepted) == [
+                ("add_layer_norm_into", True),
+                ("add_layer_norm_into", True),
+                ("bias_relu_into", True),
+            ]
+        names = {}
+        for name in ("fused", "compiled"):
+            plan = ExecutionPlan()
+            layer.forward_ffn_stage(src, src, mask, compact=True, plan=plan, backend=name)
+            names[name] = {key for key, _ in plan._buffers}
+        assert {"ffn.rows_attn", "ffn.rows_mixed"} <= names["fused"]
+        assert "ffn.rows_attn" not in names["compiled"]

@@ -49,10 +49,10 @@ def _encoder(num_layers: int = 2) -> DeformableEncoder:
     )
 
 
-def _session(**streaming_kwargs) -> StreamingEncoderSession:
+def _session(config: DEFAConfig | None = None, **streaming_kwargs) -> StreamingEncoderSession:
     return StreamingEncoderSession(
         _encoder(),
-        DEFAConfig(fwp_k=1.0),
+        config or DEFAConfig(fwp_k=1.0),
         SHAPES,
         StreamingConfig(**streaming_kwargs),
     )
@@ -179,7 +179,9 @@ class TestSessionStateMachine:
 
 class TestWarmArenas:
     def test_hits_climb_and_bytes_plateau(self):
-        session = _session()
+        # Pinned to a plan-using backend: the process default may be
+        # "reference", which never builds plans (see the next test).
+        session = _session(DEFAConfig(fwp_k=1.0, kernel_backend="fused"))
         stream = _stream(seed=4)
         session.process(stream.frame(0), 0)
         first = session.plan_stats()
@@ -188,6 +190,16 @@ class TestWarmArenas:
         final = session.plan_stats()
         assert final["hits"] > first["hits"]
         assert final["bytes"] == first["bytes"]
+
+    def test_reference_backend_uses_no_plans(self):
+        session = _session(DEFAConfig(fwp_k=1.0, kernel_backend="reference"))
+        stream = _stream(seed=4)
+        for i in range(3):
+            session.process(stream.frame(i), i)
+        stats = session.plan_stats()
+        assert stats["backend"] == "reference"
+        assert stats["hits"] == 0
+        assert stats["bytes"] == 0
 
 
 class TestLockstepEquivalence:
