@@ -227,7 +227,7 @@ class DEFAEncoderRunner:
     TraceCache`); a dropped signature simply re-warms on next use."""
 
     def execution_plan(
-        self, spatial_shapes: list[LevelShape], batch_size: int | None
+        self, spatial_shapes: list[LevelShape], batch_size: int
     ) -> ExecutionPlan:
         """The buffer arena for one ``(shape-signature, batch-size)``.
 
@@ -235,8 +235,9 @@ class DEFAEncoderRunner:
         :data:`MAX_EXECUTION_PLANS`): a signature change means a *new* plan
         (the invalidation rule), while repeated forwards — across blocks and
         across BatchRunner work items of the same signature — reuse the warm
-        arena and perform no large allocations.  ``batch_size`` is ``None``
-        for single-image forwards.
+        arena and perform no large allocations.  A single-image forward is a
+        batch of one, so it shares the ``batch_size=1`` plan with
+        :meth:`forward_batched` on one image.
         """
         key = (tuple(s.as_tuple() for s in spatial_shapes), batch_size)
         plan = self._plans.get(key)
@@ -272,7 +273,7 @@ class DEFAEncoderRunner:
         }
 
     def query_stage_plan(
-        self, fmap_mask: np.ndarray | None, queries_per_image: int, batched: bool = False
+        self, fmap_mask: np.ndarray | None, queries_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the pre-attention ``query = x + pos`` add.
 
@@ -285,19 +286,15 @@ class DEFAEncoderRunner:
         equivalent to the PR 4 full add (every projection of a pruned row is
         already masked out downstream).  The compact/masked choice follows
         the same :func:`~repro.core.pipeline.use_sparse_rows` gate as the
-        query-side projections inside the attention block.
+        query-side projections inside the attention block; a ``(N,)`` mask
+        is one image, a ``(B, N)`` mask a batch.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(self.resolved_backend().name)
         compact = use_sparse_rows(
-            fmap_mask,
-            queries_per_image,
-            t.query_keep_max,
-            t.min_queries,
-            self.sparse_mode,
-            batched=batched,
+            fmap_mask, queries_per_image, t.query_keep_max, t.min_queries, self.sparse_mode
         )
         return fmap_mask, compact
 
@@ -344,7 +341,7 @@ class DEFAEncoderRunner:
         return query
 
     def ffn_stage_plan(
-        self, fmap_mask: np.ndarray | None, tokens_per_image: int, batched: bool = False
+        self, fmap_mask: np.ndarray | None, tokens_per_image: int
     ) -> tuple[np.ndarray | None, bool]:
         """``(keep_mask, compact)`` for the inter-block FFN/LayerNorm stage.
 
@@ -354,19 +351,15 @@ class DEFAEncoderRunner:
         incoming mask — the first block therefore always runs dense.  The
         compact/masked-dense execution choice then follows the shared
         :func:`~repro.core.pipeline.use_sparse_rows` rule under this runner's
-        ``sparse_mode``, unless :attr:`enable_sparse_ffn` pins it dense.
+        ``sparse_mode`` (a ``(N,)`` mask is one image, a ``(B, N)`` mask a
+        batch), unless :attr:`enable_sparse_ffn` pins it dense.
         """
         if not self.config.enable_query_pruning or fmap_mask is None:
             return None, False
         fmap_mask = normalize_mask(fmap_mask)  # boundary: accept int masks
         t = self.machine_profile.thresholds_for(self.resolved_backend().name)
         compact = self.enable_sparse_ffn and use_sparse_rows(
-            fmap_mask,
-            tokens_per_image,
-            t.ffn_keep_max,
-            t.ffn_min_tokens,
-            self.sparse_mode,
-            batched=batched,
+            fmap_mask, tokens_per_image, t.ffn_keep_max, t.ffn_min_tokens, self.sparse_mode
         )
         return fmap_mask, compact
 
@@ -382,9 +375,11 @@ class DEFAEncoderRunner:
         """Run all encoder layers, propagating the FWP mask block to block.
 
         ``src`` may be a single image ``(N_in, D)`` or a batch ``(B, N_in,
-        D)``; batched inputs dispatch to :meth:`forward_batched` and return a
-        :class:`DEFAEncoderBatchResult`.  ``collect_details`` defaults to the
-        runner's :class:`~repro.kernels.ExecutionOptions` value.
+        D)``.  A single image runs as a batch of one through
+        :meth:`forward_batched` and returns that batch's only
+        :class:`DEFAEncoderResult`; a batch returns the
+        :class:`DEFAEncoderBatchResult`.  ``collect_details`` defaults to
+        the runner's :class:`~repro.kernels.ExecutionOptions` value.
 
         ``fmap_masks`` overrides the *incoming* FWP mask of every block
         (entry ``j`` feeds block ``j``; ``None`` entries mean dense, matching
@@ -393,88 +388,24 @@ class DEFAEncoderRunner:
         recorded in the result.  A :class:`~repro.engine.streaming.
         StreamingEncoderSession` uses this to warm-start a frame from the
         previous frame's prune trajectory intersected with its
-        temporally-dirty set; single-image forwards only.
+        temporally-dirty set.  Entries have shape ``(N_in,)`` for a single
+        image and ``(B, N_in)`` for a batch.
         """
         x = np.asarray(src, dtype=FLOAT_DTYPE)
-        if x.ndim == 3:
+        single = x.ndim == 2
+        if single:
+            x = x[None]
             if fmap_masks is not None:
-                raise ValueError("fmap_masks overrides support single-image forwards only")
-            return self.forward_batched(
-                x, pos, reference_points, spatial_shapes, collect_details=collect_details
-            )
-        if fmap_masks is not None and len(fmap_masks) != len(self.encoder.layers):
-            raise ValueError(
-                f"fmap_masks must have one entry per encoder layer "
-                f"({len(self.encoder.layers)}), got {len(fmap_masks)}"
-            )
-        if collect_details is None:
-            collect_details = self.collect_details_default
-        pos = np.asarray(pos, dtype=FLOAT_DTYPE)
-        backend = self.resolved_backend()
-        # collect_details hands the per-block outputs to the caller, so they
-        # must not live in arena buffers that the next block overwrites.
-        plan = (
-            self.execution_plan(spatial_shapes, None)
-            if backend.fused and not collect_details
-            else None
+                fmap_masks = [None if m is None else np.asarray(m)[None] for m in fmap_masks]
+        result = self.forward_batched(
+            x,
+            pos,
+            reference_points,
+            spatial_shapes,
+            collect_details=collect_details,
+            fmap_masks=fmap_masks,
         )
-        fmap_mask: np.ndarray | None = None
-        layer_stats: list[DEFALayerStats] = []
-        layer_outputs: list[DEFAAttentionOutput] = []
-        generated_masks: list[np.ndarray] = []
-
-        call_options = ExecutionOptions(kernel_backend=backend)
-        for index, (layer, defa_attn) in enumerate(
-            zip(self.encoder.layers, self.defa_layers)
-        ):
-            if fmap_masks is not None:
-                fmap_mask = fmap_masks[index]
-            # Pre-attention query add, skipped for FWP-pruned pixels under
-            # query pruning (their rows never act as queries).
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, x.shape[0])
-            query = self._build_query(x, pos, q_keep, q_compact, plan)
-            attn_out = defa_attn.forward_detailed(
-                query,
-                reference_points,
-                x,
-                spatial_shapes,
-                fmap_mask=fmap_mask,
-                options=call_options,
-                plan=plan,
-            )
-            layer_stats.append(attn_out.stats)
-            if collect_details:
-                layer_outputs.append(attn_out)
-            # The inter-block stage prunes on the mask applied to *this*
-            # block (the rows that did not act as queries), so it must run
-            # before the mask is advanced to the one this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, x.shape[0])
-            stream = None
-            if plan is not None:
-                # Ping-pong stream buffers: the stage writes block i's output
-                # into stream i%2 while reading block i-1's from the other.
-                stream = plan.buffer(f"stream{index % 2}", x.shape)
-            x = layer.forward_ffn_stage(
-                x,
-                attn_out.output,
-                keep_mask=keep_mask,
-                compact=compact,
-                plan=plan,
-                out=stream,
-                backend=backend,
-            )
-            attn_out.stats.sparse_ffn = compact
-            fmap_mask = attn_out.fmap_mask_next
-            generated_masks.append(fmap_mask)
-
-        # The final memory escapes to the caller, so it must not alias the
-        # arena (the next forward would overwrite it) — one copy per forward.
-        return DEFAEncoderResult(
-            memory=x.copy() if plan is not None else x,
-            layer_stats=layer_stats,
-            layer_outputs=layer_outputs,
-            fmap_masks=generated_masks,
-        )
+        return result.images[0] if single else result
 
     def forward_batched(
         self,
@@ -483,22 +414,32 @@ class DEFAEncoderRunner:
         reference_points: np.ndarray,
         spatial_shapes: list[LevelShape],
         collect_details: bool | None = None,
+        fmap_masks: list[np.ndarray | None] | None = None,
     ) -> DEFAEncoderBatchResult:
         """Run all layers on an image batch, threading per-image FWP masks.
 
         ``src`` has shape ``(B, N_in, D)``; ``pos`` and ``reference_points``
         are shared across the batch (they only depend on the pyramid shapes).
         Per-image results are equivalent to calling :meth:`forward` on each
-        image separately, but the tensor work runs batched.
+        image separately, but the tensor work runs batched.  ``fmap_masks``
+        overrides every block's incoming masks as in :meth:`forward`, one
+        ``(B, N_in)`` array (or ``None``) per block.
         """
         x = np.asarray(src, dtype=FLOAT_DTYPE)
         if x.ndim != 3:
             raise ValueError("src must have shape (B, N_in, D)")
+        if fmap_masks is not None and len(fmap_masks) != len(self.encoder.layers):
+            raise ValueError(
+                f"fmap_masks must have one entry per encoder layer "
+                f"({len(self.encoder.layers)}), got {len(fmap_masks)}"
+            )
         if collect_details is None:
             collect_details = self.collect_details_default
         batch = x.shape[0]
         pos = np.asarray(pos, dtype=FLOAT_DTYPE)
         backend = self.resolved_backend()
+        # collect_details hands the per-block outputs to the caller, so they
+        # must not live in arena buffers that the next block overwrites.
         plan = (
             self.execution_plan(spatial_shapes, batch)
             if backend.fused and not collect_details
@@ -513,7 +454,11 @@ class DEFAEncoderRunner:
         for index, (layer, defa_attn) in enumerate(
             zip(self.encoder.layers, self.defa_layers)
         ):
-            q_keep, q_compact = self.query_stage_plan(fmap_mask, x.shape[1], batched=True)
+            if fmap_masks is not None:
+                fmap_mask = fmap_masks[index]
+            # Pre-attention query add, skipped for FWP-pruned pixels under
+            # query pruning (their rows never act as queries).
+            q_keep, q_compact = self.query_stage_plan(fmap_mask, x.shape[1])
             query = self._build_query(x, pos, q_keep, q_compact, plan)
             attn_out: DEFAAttentionBatchOutput = defa_attn.forward_detailed(
                 query,
@@ -524,11 +469,14 @@ class DEFAEncoderRunner:
                 options=call_options,
                 plan=plan,
             )
-            # Inter-block stage on the incoming (per-image) masks — before
-            # the masks advance to the ones this block generated.
-            keep_mask, compact = self.ffn_stage_plan(fmap_mask, x.shape[1], batched=True)
+            # The inter-block stage prunes on the masks applied to *this*
+            # block (the rows that did not act as queries), so it must run
+            # before the masks advance to the ones this block generated.
+            keep_mask, compact = self.ffn_stage_plan(fmap_mask, x.shape[1])
             stream = None
             if plan is not None:
+                # Ping-pong stream buffers: the stage writes block i's output
+                # into stream i%2 while reading block i-1's from the other.
                 stream = plan.buffer(f"stream{index % 2}", x.shape)
             x = layer.forward_ffn_stage(
                 x,

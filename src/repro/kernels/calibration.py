@@ -463,14 +463,14 @@ def _sweep_row_projection(
     projection — the machinery shared by the value / query-side / FFN stages,
     so one measured crossover serves all three row thresholds."""
     from repro.kernels.plan import ExecutionPlan
-    from repro.kernels.fused_ops import project_into, project_rows_into
+    from repro.kernels.fused_ops import project_batched_into, project_rows_batched_into
     from repro.nn.modules import Linear
 
     rng = np.random.default_rng(grid.rng_seed)
     results: dict[int, dict[float, tuple[float, float]]] = {}
     for tokens in grid.token_counts:
         proj = Linear(grid.d_model, grid.d_model, rng=rng)
-        x = rng.standard_normal((tokens, grid.d_model)).astype(np.float32)
+        x = rng.standard_normal((1, tokens, grid.d_model)).astype(np.float32)
         plan = ExecutionPlan()
         results[tokens] = {}
         for keep_ratio in grid.keep_ratios:
@@ -478,12 +478,12 @@ def _sweep_row_projection(
             kept = np.flatnonzero(mask)
 
             def dense() -> None:
-                out = project_into(proj, x, plan, "cal.dense", backend=backend)
-                out[~mask] = 0
+                out = project_batched_into(proj, x, plan, "cal.dense", backend=backend)
+                out[0, ~mask] = 0
 
             def sparse() -> None:
                 out = plan.zeros("cal.sparse", (tokens, grid.d_model))
-                out[kept] = project_rows_into(
+                out[kept] = project_rows_batched_into(
                     proj, x, kept, plan, "cal.rows", backend=backend
                 )
 

@@ -691,7 +691,6 @@ def use_sparse_gather(
     point_mask: np.ndarray | None,
     slots_per_image: int,
     sparse_mode: str,
-    batched: bool = False,
     thresholds: DispatchThresholds | None = None,
 ) -> bool:
     """Shared dispatch rule of the ``sparse_mode`` switch for point gathering.
@@ -714,13 +713,15 @@ def use_sparse_gather(
     dispatches deterministically, and batched vs single-image runs agree at
     the boundary.
 
-    With ``batched=True`` the leading axis of ``point_mask`` is the image
-    axis and the keep-fraction test applies to the *maximum* per-image
-    fraction: a batch goes sparse only when every image alone would.  This
-    mirrors the per-image slot counting — the batched and single-image runs
-    must make the same decision wherever possible, otherwise quantized
-    configs amplify the float32 rounding difference between the two kernels
-    into a quantization step and break batched-vs-serial equivalence.
+    The mask's shape says whether it covers one image or a batch: a 4-D
+    ``(N_q, N_h, N_l, N_p)`` mask is one image, a 5-D mask carries a leading
+    image axis.  A batch's keep-fraction test applies to the *maximum*
+    per-image fraction: a batch goes sparse only when every image alone
+    would.  This mirrors the per-image slot counting — the batched and
+    single-image runs must make the same decision wherever possible,
+    otherwise quantized configs amplify the float32 rounding difference
+    between the two kernels into a quantization step and break
+    batched-vs-serial equivalence.
     """
     if sparse_mode not in SPARSE_MODES:
         raise ValueError(f"sparse_mode must be one of {SPARSE_MODES}, got {sparse_mode!r}")
@@ -732,12 +733,9 @@ def use_sparse_gather(
         thresholds = get_active_profile().thresholds_for(None)
     if point_mask is None or slots_per_image < thresholds.min_slots:
         return False
-    if batched:
-        batch = point_mask.shape[0]
-        per_image = np.count_nonzero(point_mask.reshape(batch, -1), axis=1)
-        keep_fraction = float(per_image.max()) / max(point_mask[0].size, 1)
-    else:
-        keep_fraction = np.count_nonzero(point_mask) / max(point_mask.size, 1)
+    images = point_mask if point_mask.ndim == 5 else point_mask[None]
+    per_image = np.count_nonzero(images.reshape(images.shape[0], -1), axis=1)
+    keep_fraction = float(per_image.max()) / max(images[0].size, 1)
     return keep_fraction <= thresholds.point_keep_max
 
 

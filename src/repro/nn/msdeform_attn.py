@@ -337,9 +337,7 @@ class MSDeformAttn(Module):
             else:
                 effective_mask = point_mask & keep_rows
         per_image_points = int(np.prod(points_shape[1:] if batched else points_shape))
-        sparse = use_sparse_gather(
-            effective_mask, per_image_points * 4, sparse_mode, batched=batched
-        )
+        sparse = use_sparse_gather(effective_mask, per_image_points * 4, sparse_mode)
 
         if sparse and query_mask is not None:
             # Row-compacted query-side projections: pruned queries never

@@ -11,12 +11,21 @@ import numpy as np
 FLOAT_DTYPE = np.float32
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically-stable softmax along *axis*."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically-stable softmax along *axis*.
+
+    With ``out`` (a float32 array of ``x.shape``, distinct from ``x``) the
+    subtract / exp / divide chain runs in place in it — bit-identical to the
+    allocating path.
+    """
     x = np.asarray(x, dtype=FLOAT_DTYPE)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    if out is None:
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        exp = np.exp(shifted)
+        return exp / np.sum(exp, axis=axis, keepdims=True)
+    np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, np.sum(out, axis=axis, keepdims=True), out=out)
 
 
 def layer_norm(

@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import DEFAConfig
 from repro.core.encoder_runner import DEFAEncoderRunner
 from repro.core.pipeline import DEFAAttention
+from repro.kernels import ExecutionOptions
 from repro.nn.encoder import DeformableEncoder
 from repro.nn.grid_sample import (
     BatchedSamplingTrace,
@@ -218,6 +219,20 @@ class TestBatchedDEFAAttention:
                 query, reference, value, SHAPES, fmap_mask=np.ones(N_IN, dtype=bool)
             )
 
+    def test_single_image_input_checks(self, attn):
+        """A single image is a batch of one, but its inputs are checked as a
+        single image: a ``value_input`` that does not match the pyramid and
+        an ``fmap_mask`` of the wrong length are both rejected."""
+        defa = DEFAAttention(attn, DEFAConfig())
+        query, value, reference = _batch_inputs(1, seed=8)
+        with pytest.raises(ValueError, match="spatial_shapes"):
+            defa.forward_detailed(query[0], reference, value[0, :-1], SHAPES)
+        with pytest.raises(ValueError, match="fmap_mask length"):
+            defa.forward_detailed(
+                query[0], reference, value[0], SHAPES,
+                fmap_mask=np.ones(N_IN - 1, dtype=bool),
+            )
+
 
 class TestBatchedEncoderRunner:
     @pytest.mark.parametrize("config_name", ["baseline", "full"])
@@ -251,3 +266,60 @@ class TestBatchedEncoderRunner:
                 assert stats_b.pixels_kept == stats_s.pixels_kept
                 assert stats_b.pixels_kept_next == stats_s.pixels_kept_next
                 assert stats_b.mask_applied == stats_s.mask_applied
+
+
+class TestFmapMaskOverrides:
+    """``forward_batched(fmap_masks=...)``: per-block incoming-mask
+    overrides (the streaming warm-frame path) on an image batch."""
+
+    @staticmethod
+    def _runner(sparse_mode: str) -> DEFAEncoderRunner:
+        encoder = DeformableEncoder(
+            num_layers=3,
+            d_model=D_MODEL,
+            num_heads=NUM_HEADS,
+            num_levels=len(SHAPES),
+            num_points=NUM_POINTS,
+            ffn_dim=64,
+            rng=0,
+        )
+        config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
+        return DEFAEncoderRunner(encoder, config, ExecutionOptions(sparse_mode=sparse_mode))
+
+    @pytest.mark.parametrize("sparse_mode", ["dense", "sparse"])
+    def test_batch_matches_single_image_overrides(self, sparse_mode):
+        runner = self._runner(sparse_mode)
+        _, value, reference = _batch_inputs(2, seed=11)
+        pos = sine_positional_encoding(SHAPES, D_MODEL)
+        rng = np.random.default_rng(12)
+        # Block 0 dense, then different per-image masks into blocks 1 and 2.
+        overrides = [None, rng.random((2, N_IN)) > 0.3, rng.random((2, N_IN)) > 0.6]
+        batched = runner.forward_batched(value, pos, reference, SHAPES, fmap_masks=overrides)
+        for b in range(2):
+            single = runner.forward(
+                value[b],
+                pos,
+                reference,
+                SHAPES,
+                fmap_masks=[None if m is None else m[b] for m in overrides],
+            )
+            image = batched.images[b]
+            np.testing.assert_allclose(image.memory, single.memory, atol=TOL)
+            assert len(image.fmap_masks) == len(single.fmap_masks) == 3
+            for got, want in zip(image.fmap_masks, single.fmap_masks):
+                np.testing.assert_array_equal(got, want)
+            for stats_b, stats_s, mask in zip(
+                image.layer_stats, single.layer_stats, overrides
+            ):
+                expected = N_IN if mask is None else int(np.count_nonzero(mask[b]))
+                assert stats_b.pixels_kept == stats_s.pixels_kept == expected
+                assert stats_b.mask_applied == stats_s.mask_applied == (mask is not None)
+
+    def test_wrong_length_raises(self):
+        runner = self._runner("auto")
+        _, value, reference = _batch_inputs(2, seed=13)
+        pos = sine_positional_encoding(SHAPES, D_MODEL)
+        with pytest.raises(ValueError, match="one entry per encoder layer"):
+            runner.forward_batched(value, pos, reference, SHAPES, fmap_masks=[None, None])
+        with pytest.raises(ValueError, match="one entry per encoder layer"):
+            runner.forward(value[0], pos, reference, SHAPES, fmap_masks=[None])

@@ -1,5 +1,4 @@
-"""Property tests for the compacted sampling trace (sparse execution v2)
-and the row-compacted FFN/LayerNorm entry points (block-sparse encoder, PR 4).
+"""Property tests for the compacted sampling trace (sparse execution v2).
 
 The compacted trace (:func:`multi_scale_neighbors_sparse` and its batched
 variant) must be *exactly* the dense trace restricted to the kept points —
@@ -8,14 +7,6 @@ for bit — for any pyramid geometry, any sampling locations (in or out of
 bounds, float32 or float64 input) and any point mask, including the
 degenerate all-pruned and single-survivor masks.  Hypothesis drives the
 geometry/mask space; a few deterministic tests pin the named edge cases.
-
-The same contract holds for ``LayerNorm.forward_rows[_batched]``: layer norm
-is per-row, so the compacted output is bit-identical to the dense output
-restricted to the kept rows.  ``FeedForward.forward_rows[_batched]`` is
-bit-identical to forwarding the gathered rows (the compaction itself adds no
-rounding); against the dense output restricted to the kept rows it is held
-to 1e-5, because BLAS may pick a different matmul kernel for the compacted
-row count and move the last ulp of the accumulations.
 """
 
 from __future__ import annotations
@@ -178,135 +169,6 @@ class TestCompactTraceProperties:
         out_dense = ms_deform_attn_from_trace_batched(value, dense, attn, point_mask=mask)
         out_compact = ms_deform_attn_from_compact_trace(value, compact, attn)
         np.testing.assert_allclose(out_compact, out_dense, atol=1e-5)
-
-
-@st.composite
-def row_cases(draw, batched: bool = False):
-    """A random ``(x, mask)`` pair for the row-compacted module entry points.
-
-    Row counts span 1..64, feature dims 1..48; the mask density includes the
-    all-pruned (0.0) and all-kept (1.0) extremes, and a ``single_survivor``
-    draw forces exactly one kept row.  Inputs alternate float32/float64 and
-    include large-magnitude scales (the modules cast to the kernel dtype).
-    """
-    n = draw(st.integers(1, 64))
-    d = draw(st.integers(1, 48))
-    batch = draw(st.integers(1, 3)) if batched else None
-    lead = (batch,) if batched else ()
-    seed = draw(st.integers(0, 2**32 - 1))
-    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, "single_survivor"]))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    scale = draw(st.sampled_from([1.0, 7.5]))
-    rng = np.random.default_rng(seed)
-    x = (rng.standard_normal(lead + (n, d)) * scale).astype(dtype)
-    total = int(np.prod(lead + (n,)))
-    if density == "single_survivor":
-        mask = np.zeros(total, dtype=bool)
-        mask[int(rng.integers(total))] = True
-        mask = mask.reshape(lead + (n,))
-    else:
-        mask = rng.uniform(0.0, 1.0, lead + (n,)) < density
-    return x, mask, seed
-
-
-def _make_layer_norm(d: int, seed: int) -> "LayerNorm":
-    from repro.nn.modules import LayerNorm
-
-    rng = np.random.default_rng(seed)
-    ln = LayerNorm(d)
-    ln.weight = rng.standard_normal(d).astype(np.float32)
-    ln.bias = rng.standard_normal(d).astype(np.float32)
-    return ln
-
-
-def _make_ffn(d: int, seed: int) -> "FeedForward":
-    from repro.nn.modules import FeedForward
-
-    return FeedForward(d, max(2 * d, 4), activation="relu", rng=seed)
-
-
-class TestRowCompactedModules:
-    """Property tests for the block-sparse encoder's forward_rows paths."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(row_cases())
-    def test_layer_norm_rows_bit_identical_to_dense_restriction(self, case):
-        x, mask, seed = case
-        ln = _make_layer_norm(x.shape[-1], seed)
-        rows = np.flatnonzero(mask)
-        compact = ln.forward_rows(x, rows)
-        np.testing.assert_array_equal(compact, ln.forward(x)[rows])
-        assert compact.shape == (rows.size, x.shape[-1])
-
-    @settings(max_examples=40, deadline=None)
-    @given(row_cases(batched=True))
-    def test_layer_norm_rows_batched_bit_identical(self, case):
-        x, mask, seed = case
-        ln = _make_layer_norm(x.shape[-1], seed)
-        flat_rows = np.flatnonzero(mask.reshape(-1))
-        compact = ln.forward_rows_batched(x, flat_rows)
-        dense = ln.forward(x).reshape(-1, x.shape[-1])[flat_rows]
-        np.testing.assert_array_equal(compact, dense)
-
-    @settings(max_examples=60, deadline=None)
-    @given(row_cases())
-    def test_ffn_rows_matches_dense_restriction(self, case):
-        x, mask, seed = case
-        ffn = _make_ffn(x.shape[-1], seed)
-        rows = np.flatnonzero(mask)
-        compact = ffn.forward_rows(x, rows)
-        # Bit-identical to forwarding the gathered rows: the compaction adds
-        # no arithmetic of its own ...
-        np.testing.assert_array_equal(
-            compact, ffn.forward(np.asarray(x, dtype=np.float32)[rows])
-        )
-        # ... and within float32 matmul precision of the dense restriction
-        # (BLAS kernel choice varies with the row count).
-        np.testing.assert_allclose(compact, ffn.forward(x)[rows], atol=1e-5)
-
-    @settings(max_examples=40, deadline=None)
-    @given(row_cases(batched=True))
-    def test_ffn_rows_batched_matches_dense_restriction(self, case):
-        x, mask, seed = case
-        ffn = _make_ffn(x.shape[-1], seed)
-        flat_rows = np.flatnonzero(mask.reshape(-1))
-        compact = ffn.forward_rows_batched(x, flat_rows)
-        dense = ffn.forward(x).reshape(-1, x.shape[-1])[flat_rows]
-        np.testing.assert_allclose(compact, dense, atol=1e-5)
-        # Batched compaction concatenates rows across images; it must equal
-        # single-image compaction on each image's own rows exactly.
-        x32 = np.asarray(x, dtype=np.float32)
-        np.testing.assert_array_equal(
-            compact, ffn.forward(x32.reshape(-1, x.shape[-1])[flat_rows])
-        )
-
-    def test_all_pruned_mask_yields_empty_output(self):
-        ln = _make_layer_norm(8, 0)
-        ffn = _make_ffn(8, 1)
-        x = np.random.default_rng(2).standard_normal((12, 8)).astype(np.float32)
-        empty = np.array([], dtype=np.int64)
-        assert ln.forward_rows(x, empty).shape == (0, 8)
-        assert ffn.forward_rows(x, empty).shape == (0, 8)
-        xb = np.random.default_rng(3).standard_normal((2, 12, 8)).astype(np.float32)
-        assert ln.forward_rows_batched(xb, empty).shape == (0, 8)
-        assert ffn.forward_rows_batched(xb, empty).shape == (0, 8)
-
-    def test_wrong_ndim_rejected(self):
-        import pytest
-
-        ln = _make_layer_norm(8, 0)
-        ffn = _make_ffn(8, 1)
-        x3 = np.zeros((2, 12, 8), dtype=np.float32)
-        x2 = np.zeros((12, 8), dtype=np.float32)
-        rows = np.array([0, 1])
-        with pytest.raises(ValueError):
-            ln.forward_rows(x3, rows)
-        with pytest.raises(ValueError):
-            ffn.forward_rows(x3, rows)
-        with pytest.raises(ValueError):
-            ln.forward_rows_batched(x2, rows)
-        with pytest.raises(ValueError):
-            ffn.forward_rows_batched(x2, rows)
 
 
 class TestCompactTraceEdgeCases:

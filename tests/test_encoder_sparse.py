@@ -99,7 +99,7 @@ class TestBlockSparseEncoderEquivalence:
         repo-standard 1e-5 rather than bit-equality: the batched FFN stage
         runs one flat matmul over the kept rows of all images while the
         single-image loop runs per-image matmuls, and BLAS may pick a
-        different kernel per row count (see ``FeedForward.forward_rows``) —
+        different kernel per row count (see ``forward_ffn_stage``) —
         bit-identical on this machine, one-ulp wiggle room across builds.
         """
         batch = 3

@@ -274,22 +274,25 @@ class TestPlanReuseAcrossForwards:
             np.stack([features, features]), pos, reference_points, shapes
         )
         keys = set(runner._plans)
-        assert len(keys) == 2  # (signature, None) and (signature, 2)
+        assert len(keys) == 2  # (signature, 1) and (signature, 2)
         batch_sizes = {key[1] for key in keys}
-        assert batch_sizes == {None, 2}
+        assert batch_sizes == {1, 2}
+        # A single image is a batch of one: it shares the batch-of-one plan.
+        runner.forward_batched(features[None], pos, reference_points, shapes)
+        assert set(runner._plans) == keys
 
     def test_plan_cache_is_lru_bounded(self):
         shapes, encoder, features, pos, reference_points = _encoder_fixture()
         config = DEFAConfig(fwp_k=1.0, enable_query_pruning=True)
         runner = DEFAEncoderRunner(encoder, config, sparse_mode="sparse", backend="fused")
-        first_key = (tuple(s.as_tuple() for s in shapes), None)
+        first_key = (tuple(s.as_tuple() for s in shapes), 1)
         runner.forward(features, pos, reference_points, shapes)
         # Synthetic distinct signatures fill the cache past the bound; the
         # real signature is refreshed (LRU) halfway, so it must survive.
         for i in range(runner.MAX_EXECUTION_PLANS - 1):
             runner.execution_plan(shapes, batch_size=100 + i)
             if i == runner.MAX_EXECUTION_PLANS // 2:
-                runner.execution_plan(shapes, batch_size=None)  # refresh
+                runner.execution_plan(shapes, batch_size=1)  # refresh
         assert first_key in runner._plans
         for i in range(runner.MAX_EXECUTION_PLANS + 1):
             runner.execution_plan(shapes, batch_size=200 + i)

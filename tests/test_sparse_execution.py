@@ -179,11 +179,11 @@ class TestSparseKernels:
         sparse_image = np.zeros((1, 4, 2, 2, 2), dtype=bool)  # keep 0%
         dense_image = np.ones((1, 4, 2, 2, 2), dtype=bool)  # keep 100%
         mixed = np.concatenate([sparse_image, dense_image])
-        assert use_sparse_gather(sparse_image, 10**9, "auto", batched=True)
-        assert not use_sparse_gather(dense_image, 10**9, "auto", batched=True)
+        assert use_sparse_gather(sparse_image, 10**9, "auto")
+        assert not use_sparse_gather(dense_image, 10**9, "auto")
         # One dense-leaning image forces the whole batch dense, even though
         # the aggregate keep fraction (0.5) is below the threshold.
-        assert not use_sparse_gather(mixed, 10**9, "auto", batched=True)
+        assert not use_sparse_gather(mixed, 10**9, "auto")
 
 
 class TestApplyFmapMask:
@@ -318,16 +318,6 @@ class TestDEFASparseEquivalence:
 
 
 class TestQuantizedRows:
-    def test_forward_rows_matches_forward(self):
-        rng = np.random.default_rng(0)
-        linear = Linear(16, 12, rng=1)
-        qlinear = quantize_linear(linear, 12)
-        x = rng.standard_normal((50, 16)).astype(np.float32)
-        rows = np.array([0, 3, 17, 49])
-        np.testing.assert_allclose(
-            qlinear.forward_rows(x, rows), qlinear.forward(x)[rows], atol=1e-6
-        )
-
     def test_forward_rows_batched_matches_forward_batched(self):
         rng = np.random.default_rng(1)
         linear = Linear(16, 12, rng=2)
