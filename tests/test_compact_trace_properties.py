@@ -7,6 +7,13 @@ for bit — for any pyramid geometry, any sampling locations (in or out of
 bounds, float32 or float64 input) and any point mask, including the
 degenerate all-pruned and single-survivor masks.  Hypothesis drives the
 geometry/mask space; a few deterministic tests pin the named edge cases.
+
+The block-sparse encoder's row-compacted inter-block stage
+(``DeformableEncoderLayer.forward_ffn_stage`` with a keep-mask) is held to the
+same kind of contract: pruned rows carry the block input bit for bit, the
+masked-dense stage equals the dense stage on the kept rows exactly, and the
+compacted stage is within 1e-5 of it, because BLAS may pick a different
+matmul kernel for the compacted row count.
 """
 
 from __future__ import annotations
@@ -169,6 +176,173 @@ class TestCompactTraceProperties:
         out_dense = ms_deform_attn_from_trace_batched(value, dense, attn, point_mask=mask)
         out_compact = ms_deform_attn_from_compact_trace(value, compact, attn)
         np.testing.assert_allclose(out_compact, out_dense, atol=1e-5)
+
+
+@st.composite
+def row_cases(draw, batched: bool = False):
+    """A random ``(src, attn, mask, seed)`` case for the row-compacted FFN stage.
+
+    Row counts span 1..64, feature dims 1..48; the mask density includes the
+    all-pruned (0.0) and all-kept (1.0) extremes, and a ``single_survivor``
+    draw forces exactly one kept row.  Inputs alternate float32/float64 and
+    include large-magnitude scales (the stage casts to float32).
+    """
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 48))
+    lead = (draw(st.integers(1, 3)),) if batched else ()
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, "single_survivor"]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.sampled_from([1.0, 7.5]))
+    rng = np.random.default_rng(seed)
+    src = (rng.standard_normal(lead + (n, d)) * scale).astype(dtype)
+    attn = (rng.standard_normal(lead + (n, d)) * scale).astype(dtype)
+    if density == "single_survivor":
+        mask = np.zeros(lead + (n,), dtype=bool)
+        mask.reshape(-1)[int(rng.integers(mask.size))] = True
+    else:
+        mask = rng.uniform(0.0, 1.0, lead + (n,)) < density
+    return src, attn, mask, seed
+
+
+def _make_layer(d: int, seed: int) -> "DeformableEncoderLayer":
+    """An encoder layer of width *d* with non-trivial LayerNorm affines."""
+    from repro.nn.encoder import DeformableEncoderLayer
+
+    layer = DeformableEncoderLayer(
+        d_model=d, num_heads=1, num_levels=1, num_points=1,
+        ffn_dim=max(2 * d, 4), rng=seed,
+    )
+    rng = np.random.default_rng(seed)
+    for norm in (layer.norm1, layer.norm2):
+        norm.weight = rng.standard_normal(d).astype(np.float32)
+        norm.bias = rng.standard_normal(d).astype(np.float32)
+    return layer
+
+
+def _assert_stage_restricts_dense(layer, src, attn, mask):
+    """Both masked forms of the stage against the dense stage: pruned rows
+    carry the block input bit for bit; kept rows equal the dense stage
+    exactly when it is computed densely and masked, and to float32 matmul
+    precision when compacted (BLAS may pick another kernel for the
+    compacted row count)."""
+    src32 = np.asarray(src, dtype=np.float32)
+    dense = layer.forward_ffn_stage(src, attn)
+    masked = layer.forward_ffn_stage(src, attn, keep_mask=mask, compact=False)
+    compact = layer.forward_ffn_stage(src, attn, keep_mask=mask, compact=True)
+    for out in (masked, compact):
+        assert out.shape == src.shape and out.dtype == np.float32
+        np.testing.assert_array_equal(out[~mask], src32[~mask])
+    np.testing.assert_array_equal(masked[mask], dense[mask])
+    np.testing.assert_allclose(compact[mask], dense[mask], atol=1e-5)
+    return compact
+
+
+class TestRowCompactedFFNStage:
+    """Property tests for the block-sparse encoder's row-compacted
+    inter-block stage, ``forward_ffn_stage(keep_mask=..., compact=True)``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(row_cases())
+    def test_compact_stage_matches_dense_restriction(self, case):
+        src, attn, mask, seed = case
+        _assert_stage_restricts_dense(_make_layer(src.shape[-1], seed), src, attn, mask)
+
+    @settings(max_examples=30, deadline=None)
+    @given(row_cases(batched=True))
+    def test_batched_compact_stage_matches_dense_restriction(self, case):
+        src, attn, mask, seed = case
+        layer = _make_layer(src.shape[-1], seed)
+        compact = _assert_stage_restricts_dense(layer, src, attn, mask)
+        # Batched compaction concatenates the kept rows of every image; it
+        # must equal compacting one image holding all the batch's rows.
+        d = src.shape[-1]
+        flat = layer.forward_ffn_stage(
+            src.reshape(1, -1, d), attn.reshape(1, -1, d),
+            keep_mask=mask.reshape(1, -1), compact=True,
+        )
+        np.testing.assert_array_equal(compact, flat.reshape(src.shape))
+
+    @settings(max_examples=30, deadline=None)
+    @given(row_cases(batched=True))
+    def test_plan_path_bit_identical_to_allocating(self, case):
+        from repro.kernels import ExecutionPlan
+
+        src, attn, mask, seed = case
+        layer = _make_layer(src.shape[-1], seed)
+        plan = ExecutionPlan()
+        # Run twice on one plan: the second pass reuses dirty arena buffers.
+        for _ in range(2):
+            for keep_mask, compact in ((None, False), (mask, False), (mask, True)):
+                want = layer.forward_ffn_stage(
+                    src, attn, keep_mask=keep_mask, compact=compact
+                )
+                got = layer.forward_ffn_stage(
+                    src, attn, keep_mask=keep_mask, compact=compact, plan=plan
+                )
+                np.testing.assert_array_equal(got, want)
+
+    def test_out_buffer_receives_result(self):
+        from repro.kernels import ExecutionPlan
+
+        layer = _make_layer(8, 0)
+        rng = np.random.default_rng(1)
+        src = rng.standard_normal((2, 12, 8)).astype(np.float32)
+        attn = rng.standard_normal((2, 12, 8)).astype(np.float32)
+        mask = rng.uniform(size=(2, 12)) < 0.5
+        plan = ExecutionPlan()
+        for keep_mask, compact in ((None, False), (mask, False), (mask, True)):
+            out = np.full_like(src, np.nan)
+            got = layer.forward_ffn_stage(
+                src, attn, keep_mask=keep_mask, compact=compact, plan=plan, out=out
+            )
+            assert got is out
+            np.testing.assert_array_equal(
+                out, layer.forward_ffn_stage(src, attn, keep_mask=keep_mask, compact=compact)
+            )
+
+    def test_all_kept_mask_matches_dense_stage(self):
+        layer = _make_layer(8, 2)
+        rng = np.random.default_rng(3)
+        for shape in ((12, 8), (2, 12, 8)):
+            src = rng.standard_normal(shape).astype(np.float32)
+            attn = rng.standard_normal(shape).astype(np.float32)
+            mask = np.ones(shape[:-1], dtype=bool)
+            dense = layer.forward_ffn_stage(src, attn)
+            masked = layer.forward_ffn_stage(src, attn, keep_mask=mask, compact=False)
+            compact = layer.forward_ffn_stage(src, attn, keep_mask=mask, compact=True)
+            np.testing.assert_array_equal(masked, dense)
+            np.testing.assert_allclose(compact, dense, atol=1e-5)
+
+    def test_all_pruned_mask_yields_block_input(self):
+        from repro.kernels import ExecutionPlan
+
+        layer = _make_layer(8, 4)
+        rng = np.random.default_rng(5)
+        for shape in ((12, 8), (2, 12, 8)):
+            src = rng.standard_normal(shape).astype(np.float32)
+            attn = rng.standard_normal(shape).astype(np.float32)
+            mask = np.zeros(shape[:-1], dtype=bool)
+            for plan in (None, ExecutionPlan()):
+                for compact in (False, True):
+                    out = layer.forward_ffn_stage(
+                        src, attn, keep_mask=mask, compact=compact, plan=plan
+                    )
+                    assert out is not src
+                    np.testing.assert_array_equal(out, src)
+
+    def test_wrong_mask_shape_rejected(self):
+        import pytest
+
+        layer = _make_layer(8, 6)
+        x2 = np.zeros((12, 8), dtype=np.float32)
+        x3 = np.zeros((2, 12, 8), dtype=np.float32)
+        with pytest.raises(ValueError, match="keep_mask"):
+            layer.forward_ffn_stage(x3, x3, keep_mask=np.ones(12, dtype=bool))
+        with pytest.raises(ValueError, match="keep_mask"):
+            layer.forward_ffn_stage(x2, x2, keep_mask=np.ones((1, 12), dtype=bool))
+        with pytest.raises(ValueError, match="requires a plan"):
+            layer.forward_ffn_stage(x2, x2, out=np.empty_like(x2))
 
 
 class TestCompactTraceEdgeCases:
